@@ -79,9 +79,10 @@ serve-smoke:  ## tuning service gate: daemon up, 2 tenants, batched + cached + q
 	PYTHONPATH=src timeout 60 python -m pytest \
 	    tests/test_serve_differential.py tests/test_serve_concurrency.py -q
 
-vec-smoke:  ## batched replicate engine + the update rules and tuner it shares with the scalar optimizers: differential + property suites, the tuner's NumPy-row reference, perfbench's bindings, 8-replicate speedup gate, <60s
+vec-smoke:  ## batched replicate engine + the update rules and tuner it shares with the scalar optimizers: differential + property suites, the tuner's NumPy-row reference, perfbench's bindings, the registry and API-surface suites (twin lookup, vec/fleet exports), 8-replicate speedup gate, <60s
 	$(PYTEST) tests/test_vec_equivalence.py \
 	    tests/test_property_serialization.py \
+	    tests/test_registry.py tests/test_api_surface.py \
 	    tests/test_optim.py tests/test_fused_optim.py \
 	    tests/test_core_yellowfin.py tests/test_core_closed_loop.py \
 	    tests/test_core_clipping.py tests/test_core_measurements.py \

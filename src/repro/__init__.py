@@ -22,7 +22,7 @@ Package layout
   backend="auto")`` over serial / parallel / fleet / mp backends.
 - ``repro.registry`` — the typed component registry behind every
   pluggable family (optimizers, workloads, delay/fault models,
-  sharding policies, aggregators, backends).
+  sharding policies, fleet topologies, backends, serve policies).
 - ``repro.core`` — YellowFin, closed-loop YellowFin, measurement oracles.
 - ``repro.autograd`` / ``repro.nn`` — the NumPy deep-learning substrate.
 - ``repro.optim`` — SGD / momentum SGD / Adam / AdaGrad / RMSProp baselines.

@@ -15,8 +15,8 @@ array([2., 4.])
 """
 
 from repro.autograd.tensor import Tensor, no_grad, is_grad_enabled
-from repro.autograd.flat import BatchedFlatParams, FlatParams
+from repro.autograd.flat import FlatParams
 from repro.autograd import functional
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "FlatParams",
-           "BatchedFlatParams", "functional"]
+           "functional"]

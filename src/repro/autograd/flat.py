@@ -16,6 +16,11 @@ and in-place updates on either side (``p.data -= ...`` or
 aliasing is *rebinding* ``p.data`` to a fresh array (as
 ``Module.load_state_dict`` does); :meth:`FlatParams.ensure_packed`
 detects that cheaply by data pointer and re-packs.
+
+The replicate axis needs no second class: ``R`` copies of one model
+packed as one list put model ``r``'s tensors in the ``r``-th block of
+``size / R`` entries, so the buffer reshaped to ``(R, size / R)`` holds
+one model per row (:class:`~repro.fleet.workloads.ModelReplicateAdapter`).
 """
 
 from __future__ import annotations
@@ -188,154 +193,3 @@ class FlatParams:
         return (f"FlatParams(tensors={len(self.params)}, size={self.size}, "
                 f"dtype={self.buffer.dtype})")
 
-
-class BatchedFlatParams:
-    """R replicate parameter sets packed into one ``(R, size)`` buffer.
-
-    The replicate axis of the batched kernels in :mod:`repro.vec`:
-    each row aliases one replicate's parameter tensors exactly as
-    :class:`FlatParams` aliases a single model, so a batched optimizer
-    kernel can update *every* replicate with one ndarray operation while
-    each replicate's model still sees its own row through ordinary
-    ``p.data`` views.
-
-    Rows of the C-contiguous buffer are themselves contiguous, which is
-    what makes elementwise batched updates bit-identical per row to the
-    scalar fused kernels — a property the differential test suite
-    enforces.
-
-    Parameters
-    ----------
-    param_lists:
-        One sequence of gradient-carrying tensors per replicate.  Every
-        replicate must have the same tensor count, shapes, and dtypes
-        (they are replicas of one architecture).  Zero-size tensors are
-        allowed and occupy empty slices.
-
-    Attributes
-    ----------
-    buffer:
-        The packed ``(replicates, size)`` array.
-    offsets:
-        ``offsets[i]:offsets[i+1]`` is tensor ``i``'s column slice —
-        shared by every replicate row.
-    """
-
-    def __init__(self, param_lists: Sequence[Sequence[Tensor]]):
-        self.param_lists: List[List[Tensor]] = [list(ps)
-                                                for ps in param_lists]
-        if not self.param_lists:
-            raise ValueError("need at least one replicate")
-        first = self.param_lists[0]
-        if not first:
-            raise ValueError("cannot pack an empty parameter list")
-        self.shapes = [p.data.shape for p in first]
-        dtype = np.result_type(*(p.data.dtype for p in first))
-        if dtype.kind not in "fc":
-            raise TypeError(f"parameters must be floating, got {dtype}")
-        for r, params in enumerate(self.param_lists):
-            if [p.data.shape for p in params] != self.shapes:
-                raise ValueError(
-                    f"replicate {r} parameter shapes differ from "
-                    "replicate 0")
-        self.offsets: List[int] = [0]
-        for shape in self.shapes:
-            self.offsets.append(self.offsets[-1]
-                                + int(np.prod(shape, dtype=int)))
-        self.size = self.offsets[-1]
-        self.replicates = len(self.param_lists)
-        self.buffer = np.empty((self.replicates, self.size), dtype=dtype)
-        self._pack()
-
-    def _pack(self) -> None:
-        """Copy live values in and re-point every ``p.data`` at its row
-        slice."""
-        self._views: List[List[np.ndarray]] = []
-        for r, params in enumerate(self.param_lists):
-            row_views: List[np.ndarray] = []
-            for i, p in enumerate(params):
-                start, stop = self.offsets[i], self.offsets[i + 1]
-                self.buffer[r, start:stop] = np.asarray(
-                    p.data, dtype=self.buffer.dtype).ravel()
-                p.data = self.buffer[r, start:stop].reshape(self.shapes[i])
-                row_views.append(p.data)
-            self._views.append(row_views)
-
-    @property
-    def packed(self) -> bool:
-        """Whether every tensor still aliases the view we installed."""
-        for params, views in zip(self.param_lists, self._views):
-            for p, view in zip(params, views):
-                if p.data is not view:
-                    return False
-        return True
-
-    def ensure_packed(self) -> None:
-        """Re-pack if any replicate rebound a ``p.data`` (values win)."""
-        if not self.packed:
-            self._pack()
-
-    def row(self, r: int) -> np.ndarray:
-        """Replicate ``r``'s packed parameter vector (contiguous view)."""
-        return self.buffer[r]
-
-    def gather_grads(self, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Gather every replicate's gradients into an ``(R, size)`` array.
-
-        ``None`` gradients become zeros, mirroring
-        :meth:`FlatParams.gather`.
-        """
-        if out is None:
-            out = np.empty_like(self.buffer)
-        for r, params in enumerate(self.param_lists):
-            for i, p in enumerate(params):
-                start, stop = self.offsets[i], self.offsets[i + 1]
-                if p.grad is None:
-                    out[r, start:stop] = 0.0
-                else:
-                    out[r, start:stop] = np.asarray(p.grad).reshape(-1)
-        return out
-
-    def zeros(self) -> np.ndarray:
-        """A zero ``(R, size)`` array matching the buffer (flat state)."""
-        return np.zeros_like(self.buffer)
-
-    # ------------------------------------------------------------------ #
-    # checkpointing
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> np.ndarray:
-        """Copy of the full ``(R, size)`` parameter matrix."""
-        self.ensure_packed()
-        return self.buffer.copy()
-
-    def snapshot_row(self, r: int) -> np.ndarray:
-        """Copy of replicate ``r``'s packed parameter vector."""
-        self.ensure_packed()
-        return self.buffer[r].copy()
-
-    def restore(self, mat: np.ndarray) -> None:
-        """Load a :meth:`snapshot` back; every aliased tensor sees it."""
-        mat = np.asarray(mat)
-        if mat.shape != self.buffer.shape:
-            raise ValueError(
-                f"snapshot has shape {mat.shape}, expected "
-                f"{self.buffer.shape}")
-        self.ensure_packed()
-        self.buffer[:] = mat
-
-    def restore_row(self, r: int, vec: np.ndarray) -> None:
-        """Load a :meth:`snapshot_row` back into replicate ``r``."""
-        vec = np.asarray(vec)
-        if vec.shape != (self.size,):
-            raise ValueError(
-                f"snapshot has shape {vec.shape}, expected ({self.size},)")
-        self.ensure_packed()
-        self.buffer[r] = vec
-
-    def __len__(self) -> int:
-        return self.replicates
-
-    def __repr__(self) -> str:
-        return (f"BatchedFlatParams(replicates={self.replicates}, "
-                f"tensors={len(self.shapes)}, size={self.size}, "
-                f"dtype={self.buffer.dtype})")

@@ -88,24 +88,6 @@ def replicate_statistics(replicate_metrics: Sequence[Dict[str, float]]
     return out
 
 
-def _register_aggregators() -> None:
-    """File the built-in metric aggregator in the central registry.
-
-    The replicate runner resolves its aggregation step through the
-    ``"aggregator"`` kind, so downstream code can register alternative
-    aggregations (medians, trimmed means) and select them by name.
-    """
-    from repro.registry import registry
-
-    registry.register(
-        "aggregator", "replicate_stats",
-        lambda: replicate_statistics,
-        description="mean + *_std / *_ci95 spread fields per metric")
-
-
-_register_aggregators()
-
-
 @dataclass
 class BenchRecord:
     """One benchmark result destined for ``BENCH_<name>.json``.

@@ -324,6 +324,7 @@ class ClosedLoopYellowFin(MomentumFeedback, YellowFin):
 
     def _check_extra_state(self, extra: dict) -> None:
         super()._check_extra_state(extra)
+        self._require_keys(extra, ("algorithmic_mu", "iterates", "pending"))
         self.estimator.check_state(
             extra, sum(p.data.size for p in self.params), "extra")
 

@@ -233,6 +233,8 @@ class YellowFin(RowTuner, Optimizer):
         }
 
     def _check_extra_state(self, extra: dict) -> None:
+        self._require_keys(extra, ("momentum", "measurements",
+                                   "clipper_steps"))
         self.measurements.check_state(
             extra["measurements"], sum(p.data.size for p in self.params),
             "extra['measurements']")

@@ -7,8 +7,10 @@ The serial event-driven runtime pays a Python-level constant per worker
 event for one model.  This package batches both axes for the
 **fleet-eligible** scenario class: ``R`` models that differ only in
 seed live in one ``(R, N)`` buffer stepped by the batched kernels of
-:mod:`repro.vec`, under one schedule of delay samples, fault draws, and
-staleness bookkeeping shared by every row.
+:mod:`repro.vec` (looked up by the registered scalar factory they
+mirror, :data:`repro.xp.factories.VEC_KERNELS`), under one schedule of
+delay samples, fault draws, and staleness bookkeeping shared by every
+row.
 
 Layout
 ------
@@ -18,9 +20,12 @@ Layout
   divergence exception, and the one eligibility predicate
   :func:`~repro.fleet.engine.supports_fleet`.
 - :mod:`repro.fleet.workloads` — deferred snapshot/flush evaluators
-  (vectorized ``quadratic_bowl``; the eager per-seed
-  :class:`~repro.fleet.workloads.ModelReplicateAdapter` for everything
-  else).
+  (vectorized ``quadratic_bowl``, keyed in
+  :data:`~repro.fleet.workloads.FLEET_TWINS` by the scalar factory it
+  mirrors; the eager per-seed
+  :class:`~repro.fleet.workloads.ModelReplicateAdapter`, one
+  :class:`~repro.autograd.flat.FlatParams` over every seed's model, for
+  everything else).
 - :mod:`repro.fleet.topology` — heterogeneous fleet declarations
   (worker classes, correlated fault groups, cost/energy accounting)
   and the :func:`~repro.fleet.topology.expand_fleet` spec expansion.
@@ -46,10 +51,7 @@ from repro.fleet.topology import (FleetClass, FleetTopology,
                                   fleet_accounting)
 from repro.fleet.workloads import (ModelReplicateAdapter,
                                    QuadraticBowlFleet,
-                                   build_fleet_evaluator,
-                                   fleet_workload_names,
-                                   has_fleet_workload,
-                                   register_fleet_workload)
+                                   build_fleet_evaluator)
 
 __all__ = [
     "FleetEngine", "FleetDiverged", "supports_fleet",
@@ -58,6 +60,4 @@ __all__ = [
     "fleet_accounting",
     "ModelReplicateAdapter", "QuadraticBowlFleet",
     "build_fleet_evaluator",
-    "fleet_workload_names", "has_fleet_workload",
-    "register_fleet_workload",
 ]

@@ -44,7 +44,8 @@ each row stops at its own diverged read.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Deque, Dict, List, Optional, Sequence, Set, Tuple,
+                    Type)
 
 import numpy as np
 
@@ -55,9 +56,10 @@ from repro.registry import registry
 from repro.sim.trainer import TrainerHooks
 from repro.utils.logging import TrainLog
 from repro.utils.rng import new_rng
-from repro.vec.optim import (VecYellowFin, build_vec_optimizer,
-                             has_vec_optimizer)
-from repro.fleet.workloads import build_fleet_evaluator, has_fleet_workload
+from repro.vec.optim import VecOptimizer, VecYellowFin
+from repro.fleet.workloads import build_fleet_evaluator, fleet_twin
+from repro.xp.factories import (VEC_KERNELS, build_delay_model,
+                                build_fault_injector)
 from repro.xp.spec import ScenarioSpec
 
 # the scalar path runs under default TrainerHooks; sharing its
@@ -124,7 +126,15 @@ def _deterministic_faults(config: dict) -> bool:
     return True
 
 
-def _exact_kernel(spec: ScenarioSpec) -> bool:
+def _vec_kernel(name: str) -> Optional[Type[VecOptimizer]]:
+    """The batched kernel mirroring the optimizer registered as ``name``
+    (:data:`~repro.xp.factories.VEC_KERNELS`), or ``None``."""
+    if not registry.has("optimizer", name):
+        return None
+    return VEC_KERNELS.get(registry.get("optimizer", name).factory)
+
+
+def _exact_kernel(spec: ScenarioSpec, kernel: Type[VecOptimizer]) -> bool:
     """Whether the batched kernel replays the scalar reductions here.
 
     Per-tensor (unfused) YellowFin-family kernels sum squared norms
@@ -133,13 +143,11 @@ def _exact_kernel(spec: ScenarioSpec) -> bool:
     F-ordered (``Linear`` weights), so the two can differ in the last
     bit.  A deferred evaluator hands the kernel the layout the scalar
     path reduces, so only the eager adapter is excluded.  Decided from
-    the registered kernel class, not the optimizer name.
+    the kernel class, not the optimizer name.
     """
-    kernel = registry.get("vec_optimizer", spec.optimizer).factory
-    per_tensor = (isinstance(kernel, type)
-                  and issubclass(kernel, VecYellowFin)
+    per_tensor = (issubclass(kernel, VecYellowFin)
                   and not spec.optimizer_params.get("fused"))
-    return not per_tensor or has_fleet_workload(spec.workload)
+    return not per_tensor or fleet_twin(spec.workload) is not None
 
 
 def supports_fleet(spec: ScenarioSpec) -> bool:
@@ -158,8 +166,9 @@ def supports_fleet(spec: ScenarioSpec) -> bool:
     if getattr(spec, "fleet", None):
         from repro.fleet.topology import expand_fleet
         spec = expand_fleet(spec)
-    return (has_vec_optimizer(spec.optimizer)
-            and _exact_kernel(spec)
+    kernel = _vec_kernel(spec.optimizer)
+    return (kernel is not None
+            and _exact_kernel(spec, kernel)
             and _deterministic_delay(spec.delay)
             and _deterministic_faults(spec.faults))
 
@@ -193,9 +202,6 @@ class FleetEngine(EventLoop):
 
     def __init__(self, spec: ScenarioSpec,
                  seeds: Optional[Sequence[int]] = None):
-        from repro.xp.factories import (build_delay_model,
-                                        build_fault_injector)
-
         if getattr(spec, "fleet", None):
             from repro.fleet.topology import expand_fleet
             spec = expand_fleet(spec)
@@ -214,9 +220,8 @@ class FleetEngine(EventLoop):
             capacity=2 * spec.workers + 2, **spec.workload_params)
         self.deferred = bool(getattr(self.workload, "deferred", False))
         self.buffer = self.workload.buffer
-        self.optimizer = build_vec_optimizer(
-            spec.optimizer, self.buffer, self.workload.offsets,
-            **spec.optimizer_params)
+        self.optimizer = _vec_kernel(spec.optimizer)(
+            self.buffer, self.workload.offsets, **spec.optimizer_params)
         self.delay_model = build_delay_model(spec.delay)
         self.faults = build_fault_injector(spec.faults) or FaultInjector()
         self.faults.check_workers(spec.workers)

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.bench.report import environment_info
+from repro.bench.report import environment_info, replicate_statistics
 from repro.obs.session import StepTimer, active as _obs_active
 from repro.fleet.engine import FleetDiverged, FleetEngine, supports_fleet
 from repro.fleet.topology import expand_fleet, fleet_accounting
-from repro.registry import registry
 from repro.xp.spec import ScenarioSpec
 
 
@@ -95,7 +94,7 @@ def execute_rows(spec: ScenarioSpec, batched: bool = True):
     -------
     ScenarioResult
         For ``replicates > 1`` the record carries aggregated
-        mean/std/CI metrics (the ``"replicate_stats"`` aggregator),
+        mean/std/CI metrics (``replicate_statistics``),
         replicate 0's series, and the per-replicate metric dicts; a
         single replicate keeps the scalar record shape (plain metrics,
         no ``replicate_metrics``), interchangeable bit-for-bit with
@@ -131,10 +130,9 @@ def execute_rows(spec: ScenarioSpec, batched: bool = True):
             name=spec.name, spec_hash=spec.content_hash(),
             metrics=metrics, series=series, env=env)
     per_metrics = [m for m, _ in rows]
-    aggregate = registry.get("aggregator", "replicate_stats").factory()
     return ScenarioResult(
         name=spec.name, spec_hash=spec.content_hash(),
-        metrics=aggregate(per_metrics), series=series,
+        metrics=replicate_statistics(per_metrics), series=series,
         replicate_metrics=per_metrics, env=env)
 
 

@@ -11,7 +11,7 @@ and gradient, and two evaluation strategies implement that contract:
   scalar computation, so losses and gradients are bit-identical to the
   serial path by construction, and the engine checks divergence at
   read time.
-- **Deferred** (registered fleet workloads, ``deferred = True``): the
+- **Deferred** (the twins in :data:`FLEET_TWINS`, ``deferred = True``): the
   evaluator snapshots the ``(R, dim)`` parameter rows per read
   (:meth:`~QuadraticBowlFleet.snapshot`) and batch-evaluates all
   pending snapshots in read order on :meth:`~QuadraticBowlFleet.flush`
@@ -21,71 +21,42 @@ and gradient, and two evaluation strategies implement that contract:
   the same pairwise summation the scalar path uses.
 
 ``quadratic_bowl`` — the noisy quadratic of the paper's analysis
-sections — is the built-in deferred evaluator.  The scalar registry
-entry is captured at registration time, and a later replacement of the
-scalar factory silently disables the deferred evaluator rather than
-computing something other than the replacement.
+sections — is the built-in deferred evaluator.  :data:`FLEET_TWINS`
+keys it by the scalar factory it mirrors, not by name: a workload name
+re-registered with another factory finds no deferred evaluator and runs
+on the eager adapter over the replacement.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.autograd.flat import BatchedFlatParams
+from repro.autograd.flat import FlatParams
 from repro.registry import registry
-from repro.xp.workloads import build_workload
+from repro.xp.workloads import build_workload, quadratic_bowl
 
-# builder: (seeds, capacity) -> deferred evaluator;
-# factory: **workload_params -> builder
+# builder: (seeds, capacity) -> deferred evaluator
 FleetWorkloadBuilder = Callable[[Sequence[int], int], "object"]
-FleetWorkloadFactory = Callable[..., FleetWorkloadBuilder]
 
 
-def register_fleet_workload(name: str,
-                            factory: FleetWorkloadFactory) -> None:
-    """Register a deferred evaluator for workload ``name``.
-
-    Stored in the central typed registry under the ``"fleet_workload"``
-    kind.  The scalar registry must already know the name: the deferred
-    evaluator is an *optimization* of the current scalar builder, and
-    the differential suites hold the two bit-identical.  The pairing is
-    captured at registration time — if the scalar entry is replaced
-    afterwards, the deferred evaluator is ignored and scenarios use the
-    eager adapter over the replacement.
+def fleet_twin(name: str) -> Optional[Callable[..., FleetWorkloadBuilder]]:
+    """The deferred evaluator factory mirroring the workload registered
+    as ``name``, or ``None`` (unknown names, ``module:attr`` references,
+    and names whose scalar factory has no twin in :data:`FLEET_TWINS`).
     """
-    if not registry.has("workload", str(name)):
-        raise ValueError(
-            f"cannot register fleet workload {name!r}: no scalar "
-            "workload of that name (register_workload it first)")
-    scalar = registry.get("workload", str(name)).factory
-    registry.register("fleet_workload", str(name), factory,
-                      extra={"scalar_factory": scalar})
-
-
-def has_fleet_workload(name: str) -> bool:
-    """Whether ``name`` has a deferred evaluator still paired with the
-    current scalar registry entry."""
-    if not registry.has("fleet_workload", name):
-        return False
-    paired = registry.get("fleet_workload", name).extra.get(
-        "scalar_factory")
-    return (registry.has("workload", name)
-            and registry.get("workload", name).factory is paired)
-
-
-def fleet_workload_names() -> list:
-    """Sorted names with deferred evaluators."""
-    return registry.names("fleet_workload")
+    if not registry.has("workload", name):
+        return None
+    return FLEET_TWINS.get(registry.get("workload", name).factory)
 
 
 def build_fleet_evaluator(name: str, seeds: Sequence[int],
                           capacity: int = 8, **params):
     """Build the best available evaluator for a workload.
 
-    Workloads whose deferred evaluator is still paired with the current
-    scalar registry entry get it; anything else gets an eager
+    A workload whose registered scalar factory has a deferred twin
+    (:func:`fleet_twin`) gets it; anything else gets an eager
     :class:`ModelReplicateAdapter` over the scalar builder
     (``deferred`` absent).
 
@@ -100,12 +71,13 @@ def build_fleet_evaluator(name: str, seeds: Sequence[int],
         Initial snapshot-slot capacity for deferred evaluators (they
         grow on demand); sized by the engine to the in-flight bound.
     **params
-        The spec's ``workload_params``.
+        The spec's ``workload_params`` (the scalar factory's keywords,
+        which its twin takes too).
     """
     seeds = [int(s) for s in seeds]
-    if has_fleet_workload(name):
-        return registry.build("fleet_workload", name,
-                              **params)(seeds, int(capacity))
+    twin = fleet_twin(name)
+    if twin is not None:
+        return twin(**params)(seeds, int(capacity))
     return ModelReplicateAdapter(name, seeds, **params)
 
 
@@ -114,7 +86,9 @@ class ModelReplicateAdapter:
 
     Evaluates each row's autograd closure per read (gradient
     computation is not batched), while exposing the packed ``(R, N)``
-    buffer so the optimizer and simulation layers run batched.
+    buffer so the optimizer and simulation layers run batched.  The R
+    models' tensors are packed as one :class:`FlatParams` list, model
+    after model, so row ``r`` of :attr:`buffer` is model ``r``'s slice.
 
     Parameters
     ----------
@@ -124,6 +98,19 @@ class ModelReplicateAdapter:
         One seed per row, passed to the scalar builder.
     **params
         The spec's ``workload_params``.
+
+    Attributes
+    ----------
+    buffer : numpy.ndarray
+        The ``(R, N)`` view of the packed parameters.
+    offsets : list of int
+        One model's tensor boundaries: ``offsets[i]:offsets[i+1]`` is
+        tensor ``i``'s column slice in every row.
+
+    Raises
+    ------
+    ValueError
+        When a seed's model has other parameter shapes than seed 0's.
     """
 
     def __init__(self, name: str, seeds: Sequence[int], **params):
@@ -134,10 +121,16 @@ class ModelReplicateAdapter:
             model, loss_fn = build(int(seed))
             self.models.append(model)
             self.loss_fns.append(loss_fn)
-        self.flat = BatchedFlatParams(
-            [m.parameters() for m in self.models])
-        self.buffer = self.flat.buffer
-        self.offsets = self.flat.offsets
+        per_model = [m.parameters() for m in self.models]
+        self.flat = FlatParams([p for params in per_model for p in params])
+        tensors = len(per_model[0])
+        for r, params in enumerate(per_model):
+            if [p.data.shape for p in params] != self.flat.shapes[:tensors]:
+                raise ValueError(f"replicate {r} parameter shapes differ "
+                                 "from replicate 0")
+        self.offsets = self.flat.offsets[:tensors + 1]
+        self.buffer = self.flat.buffer.reshape(len(per_model),
+                                               self.offsets[-1])
 
     def ensure_packed(self) -> None:
         """Re-pack if any row's model rebound a parameter."""
@@ -145,14 +138,15 @@ class ModelReplicateAdapter:
 
     def read(self, out: np.ndarray) -> List[float]:
         """One read per row: losses returned, gradients into ``out``
-        rows (missing gradients become zeros)."""
+        rows (a C-contiguous ``(R, N)`` array; missing gradients become
+        zeros)."""
         losses = []
         for model, loss_fn in zip(self.models, self.loss_fns):
             model.zero_grad()
             loss = loss_fn()
             loss.backward()
             losses.append(float(loss.data))
-        self.flat.gather_grads(out=out)
+        self.flat.gather_grads(out=out.reshape(-1))
         return losses
 
 
@@ -307,4 +301,6 @@ def _quadratic_bowl_fleet(dim: int = 256, hmin: float = 0.05,
     return build
 
 
-register_fleet_workload("quadratic_bowl", _quadratic_bowl_fleet)
+#: The deferred evaluator factory of each built-in scalar workload
+#: factory it mirrors bit for bit, keyed by that factory object.
+FLEET_TWINS = {quadratic_bowl: _quadratic_bowl_fleet}

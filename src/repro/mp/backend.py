@@ -106,8 +106,8 @@ class MPBackend(ExecutionBackend):
         return [self._execute_one(spec) for spec in specs]
 
     def _execute_one(self, spec: ScenarioSpec):
-        from repro.bench.report import environment_info
-        from repro.registry import registry
+        from repro.bench.report import (environment_info,
+                                        replicate_statistics)
 
         if spec.replicates == 1:
             return execute_scalar_mp(spec, transport=self.transport)
@@ -125,8 +125,7 @@ class MPBackend(ExecutionBackend):
         env["seed"] = spec.replicate_seeds()[0]
         env["mp_transport"] = self.transport
         env["mp_workers"] = spec.workers
-        aggregate = registry.get("aggregator", "replicate_stats").factory()
         return ScenarioResult(
             name=spec.name, spec_hash=spec.content_hash(),
-            metrics=aggregate(per_metrics), series=series,
+            metrics=replicate_statistics(per_metrics), series=series,
             replicate_metrics=per_metrics, env=env, wall_s=wall)

@@ -16,9 +16,9 @@ components —
   optimizer kernels, mp transport and codec), summarised by the
   ``python -m repro trace`` CLI.
 
-Components are capability-registered under the ``"obs"`` registry
-kind, so ``registry.build("obs", "tracer")`` is the construction path
-and alternative implementations can be swapped in.
+A session is a plain container: construct the components you want
+and pass them to :class:`ObsSession` (or let :func:`observe` build all
+three).
 
 Two contracts every instrumentation site honours:
 
@@ -38,7 +38,6 @@ from repro.obs.profiler import Profiler
 from repro.obs.session import (ObsSession, StepTimer, active, enabled,
                                observe)
 from repro.obs.tracer import Tracer, validate_chrome_trace
-from repro.registry import registry
 
 __all__ = [
     "Counter",
@@ -54,16 +53,3 @@ __all__ = [
     "observe",
     "validate_chrome_trace",
 ]
-
-registry.register(
-    "obs", "tracer", Tracer,
-    description="nested span + instant event recorder with JSONL and "
-                "Chrome trace_event export")
-registry.register(
-    "obs", "metrics", MetricsRegistry,
-    description="counter/gauge/histogram store with a per-iteration "
-                "subscriber hook")
-registry.register(
-    "obs", "profiler", Profiler,
-    description="accumulating hot-path timing profiler (optimizer "
-                "kernels, transport, codec)")

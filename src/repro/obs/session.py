@@ -83,30 +83,6 @@ class ObsSession:
         self.profiler = profiler
         self._previous: Optional["ObsSession"] = None
 
-    @classmethod
-    def from_registry(cls, trace: bool = True, metrics: bool = True,
-                      profile: bool = True) -> "ObsSession":
-        """Build a session from the capability registry.
-
-        Components are constructed via ``registry.build("obs", ...)``
-        under the names ``"tracer"``, ``"metrics"``, and
-        ``"profiler"``, so alternative implementations can be swapped
-        in by re-registering — the same extension seam every other
-        component family (optimizers, delays, backends) uses.
-
-        Parameters
-        ----------
-        trace, metrics, profile : bool
-            Which components to build; disabled ones stay ``None``.
-        """
-        from repro.registry import registry
-
-        return cls(
-            tracer=registry.build("obs", "tracer") if trace else None,
-            metrics=registry.build("obs", "metrics") if metrics else None,
-            profiler=registry.build("obs", "profiler") if profile else None,
-        )
-
     def __enter__(self) -> "ObsSession":
         global _ACTIVE
         self._previous = _ACTIVE
@@ -146,7 +122,7 @@ class ObsSession:
 
 @contextmanager
 def observe(trace: bool = True, metrics: bool = True, profile: bool = True):
-    """Install a registry-built :class:`ObsSession` for the block.
+    """Install a new :class:`ObsSession` for the block.
 
     The one-line way to observe any instrumented code path::
 
@@ -157,8 +133,9 @@ def observe(trace: bool = True, metrics: bool = True, profile: bool = True):
     Parameters
     ----------
     trace, metrics, profile : bool
-        Which components the session carries (see
-        :meth:`ObsSession.from_registry`).
+        Which components the session carries: a :class:`Tracer`, a
+        :class:`MetricsRegistry` and a :class:`Profiler`; disabled ones
+        stay ``None``.
 
     Yields
     ------
@@ -166,8 +143,9 @@ def observe(trace: bool = True, metrics: bool = True, profile: bool = True):
         The installed session; it is uninstalled (and the previous
         session restored) when the block exits.
     """
-    session = ObsSession.from_registry(trace=trace, metrics=metrics,
-                                       profile=profile)
+    session = ObsSession(tracer=Tracer() if trace else None,
+                         metrics=MetricsRegistry() if metrics else None,
+                         profiler=Profiler() if profile else None)
     with session:
         yield session
 

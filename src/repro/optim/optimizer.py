@@ -20,7 +20,7 @@ nothing but speed.
 from __future__ import annotations
 
 import time
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -231,13 +231,20 @@ class Optimizer:
             setattr(self, "_" + name,
                     self._flat.gather(buffers) if self.fused else buffers)
 
+    @staticmethod
+    def _require_keys(extra: dict, names: Sequence[str]) -> None:
+        """Raise ``ValueError`` naming the first of ``names`` that the
+        checkpoint's ``extra`` tree lacks (another optimizer's tree)."""
+        for name in names:
+            if name not in extra:
+                raise ValueError(f"state_dict extra[{name!r}] is missing: "
+                                 f"the tree holds {sorted(extra)}")
+
     def _checked_slot(self, name: str, extra: dict) -> List[np.ndarray]:
         """Copies of checkpoint slot ``name``'s arrays, one per parameter
         with its parameter's shape."""
+        self._require_keys(extra, (name,))
         key = f"extra[{name!r}]"
-        if name not in extra:
-            raise ValueError(f"state_dict {key} is missing: the tree holds "
-                             f"{sorted(extra)}")
         buffers = extra[name]
         if len(buffers) != len(self.params):
             raise ValueError(

@@ -3,15 +3,15 @@
 Before PR 5, each subsystem grew its own name-to-factory dict —
 optimizers and delay models in :mod:`repro.xp.factories`, workloads in
 :mod:`repro.xp.workloads`, sharding policies in
-:mod:`repro.sim.sharding`, batched twins in :mod:`repro.vec` — with
-ad-hoc ``register_*`` / ``*_names`` / ``build_*`` triples and no shared
-validation.  This module is the single store behind all of them:
+:mod:`repro.sim.sharding` — with ad-hoc ``register_*`` / ``*_names`` /
+``build_*`` triples and no shared validation.  This module is the
+single store behind all of them:
 
 - a component is ``(kind, name, factory, schema, description)``;
 - the **kind** partitions the namespace (``"optimizer"``,
   ``"workload"``, ``"delay"``, ``"fault"``, ``"sharding"``,
-  ``"aggregator"``, ``"vec_optimizer"``, ``"fleet_workload"``,
-  ``"backend"``, ``"obs"``, ``"serve"``);
+  ``"topology"``, ``"backend"``, ``"serve"``), one per family a spec,
+  config or caller picks a member of by name;
 - the **schema** declares the factory's configuration surface.  By
   default it is derived from the factory signature
   (:func:`schema_from_callable`), so every registration is typed for
@@ -25,6 +25,12 @@ kind, the modules that must be imported before a lookup can be answered,
 so ``registry.build("optimizer", ...)`` works without the caller
 importing :mod:`repro.xp` first.
 
+A batched twin of a component (a :mod:`repro.vec` kernel, a deferred
+fleet evaluator) is no registry entry: its subsystem keys it by the
+scalar factory object it mirrors (:data:`repro.xp.factories.VEC_KERNELS`,
+:data:`repro.fleet.workloads.FLEET_TWINS`), so a replaced scalar entry
+finds no twin.
+
 The legacy helpers (``repro.xp.register_optimizer`` and friends) still
 exist and now delegate here, so downstream registrations land in the
 same store the new :mod:`repro.run` API resolves from.
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 import importlib
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 # Kinds whose components live in modules that register on import: the
@@ -46,12 +52,8 @@ _PROVIDERS: Dict[str, Tuple[str, ...]] = {
     "fault": ("repro.xp.factories",),
     "workload": ("repro.xp.workloads",),
     "sharding": ("repro.sim.sharding",),
-    "aggregator": ("repro.bench.report",),
-    "vec_optimizer": ("repro.vec.optim",),
-    "fleet_workload": ("repro.fleet.workloads",),
     "topology": ("repro.fleet.topology",),
     "backend": ("repro.run.backends",),
-    "obs": ("repro.obs",),
     "serve": ("repro.serve.policies",),
 }
 
@@ -235,9 +237,6 @@ class Component:
         Declared configuration surface (validated by ``build``).
     description : str
         One-line human-readable summary (CLI listings, docs).
-    extra : dict
-        Free-form registration metadata (e.g. the scalar twin a
-        batched workload was registered against).
     """
 
     kind: str
@@ -245,7 +244,6 @@ class Component:
     factory: Callable
     schema: ComponentSchema
     description: str = ""
-    extra: Dict[str, Any] = field(default_factory=dict)
 
 
 class Registry:
@@ -265,8 +263,7 @@ class Registry:
     def register(self, kind: str, name: str, factory: Callable, *,
                  schema: Optional[ComponentSchema] = None,
                  skip_positional: int = 0,
-                 description: str = "",
-                 extra: Optional[Dict[str, Any]] = None) -> Component:
+                 description: str = "") -> Component:
         """Register (or replace) a component.
 
         Parameters
@@ -286,8 +283,6 @@ class Registry:
         description : str
             One-line summary; defaults to the factory docstring's
             first line.
-        extra : dict, optional
-            Free-form metadata stored on the component.
 
         Returns
         -------
@@ -301,8 +296,7 @@ class Registry:
             description = doc.splitlines()[0] if doc else ""
         component = Component(kind=str(kind), name=str(name),
                               factory=factory, schema=schema,
-                              description=description,
-                              extra=dict(extra or {}))
+                              description=description)
         self._components.setdefault(component.kind, {})[
             component.name] = component
         return component

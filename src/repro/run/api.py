@@ -23,7 +23,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.obs.session import ObsSession
+from repro.obs import MetricsRegistry, ObsSession, Profiler, Tracer
 from repro.obs.session import active as _obs_active
 from repro.registry import registry
 from repro.xp.cache import ResultCache
@@ -123,15 +123,16 @@ def _resolve_obs(obs) -> Optional[ObsSession]:
     """Map the ``run(..., obs=...)`` argument to a session or ``None``.
 
     Accepted forms: ``None`` / ``False`` / ``"disabled"`` (no
-    observability — the default), ``True`` / ``"enabled"`` (a full
-    registry-built session), or an explicit :class:`ObsSession` (use
-    its components, e.g. a metrics-only session with subscribers
-    already attached).
+    observability — the default), ``True`` / ``"enabled"`` (a new
+    session with a tracer, metrics and a profiler), or an explicit
+    :class:`ObsSession` (use its components, e.g. a metrics-only
+    session with subscribers already attached).
     """
     if obs is None or obs is False or obs == "disabled":
         return None
     if obs is True or obs == "enabled":
-        return ObsSession.from_registry()
+        return ObsSession(tracer=Tracer(), metrics=MetricsRegistry(),
+                          profiler=Profiler())
     if isinstance(obs, ObsSession):
         return obs
     raise TypeError(
@@ -171,7 +172,7 @@ def run(scenarios: Runnable, backend: str = "auto", *,
         specs referencing components registered after fork.
     obs : bool or str or ObsSession, optional
         Observe the call: ``True`` / ``"enabled"`` installs a fresh
-        registry-built :class:`~repro.obs.session.ObsSession` for the
+        full :class:`~repro.obs.session.ObsSession` for the
         duration of the run, an explicit session installs that one,
         and the default (``None`` / ``False`` / ``"disabled"``) runs
         unobserved.  The session's report is attached as

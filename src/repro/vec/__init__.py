@@ -14,6 +14,8 @@ Layout
 - :mod:`repro.vec.optim` — batched SGD / momentum / Adam / YellowFin /
   closed-loop YellowFin kernels; the YellowFin kernels run the scalar
   classes' own tuner and feedback controller over replicate rows.
+  :data:`repro.xp.factories.VEC_KERNELS` pairs each kernel with the
+  scalar factory it mirrors.
 - :mod:`repro.vec.measurements` — the YellowFin oracle state of
   :mod:`repro.core.measurements` driven over replicate rows, and
   adaptive clipping per row.
@@ -31,11 +33,9 @@ buys speed, never different numbers.
 
 from repro.vec.optim import (VecAdam, VecClosedLoopYellowFin,
                              VecMomentumSGD, VecOptimizer, VecSGD,
-                             VecYellowFin, build_vec_optimizer,
-                             has_vec_optimizer, vec_optimizer_names)
+                             VecYellowFin)
 
 __all__ = [
     "VecOptimizer", "VecSGD", "VecMomentumSGD", "VecAdam",
-    "VecYellowFin", "VecClosedLoopYellowFin", "build_vec_optimizer",
-    "has_vec_optimizer", "vec_optimizer_names",
+    "VecYellowFin", "VecClosedLoopYellowFin",
 ]

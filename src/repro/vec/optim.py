@@ -1,8 +1,8 @@
 """Batched fused optimizer kernels over the replicate axis.
 
 Each class here steps ``R`` independent optimization runs at once on an
-``(R, N)`` parameter matrix (rows = replicates, columns = the packed
-flat-parameter axis of :class:`~repro.autograd.flat.BatchedFlatParams`).
+``(R, N)`` parameter matrix (rows = replicates, columns = one model's
+packed :class:`~repro.autograd.flat.FlatParams` axis).
 All elementwise state (velocities, Adam moments, gradient EMAs) is
 carried as ``(R, N)`` matrices and advanced in single NumPy operations;
 per-replicate tuned hyperparameters (YellowFin's learning rate and
@@ -28,12 +28,14 @@ same gradients:
   an elementwise rule agree bit for bit).
 
 The differential suite (``tests/test_vec_equivalence.py``) enforces the
-contract for every kernel.
+contract for every kernel.  Each kernel is paired with the scalar
+factory it mirrors in :data:`repro.xp.factories.VEC_KERNELS`, keyed by
+that factory object.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -234,106 +236,3 @@ class VecClosedLoopYellowFin(MomentumFeedback, VecYellowFin):
         self._descend(grads, self._applied_momentum(), lr)
         self.estimator.record_iterate(self.buffer)
 
-
-# ----------------------------------------------------------------- #
-# registry
-# ----------------------------------------------------------------- #
-VecOptimizerFactory = Callable[..., VecOptimizer]
-
-
-def register_vec_optimizer(name: str,
-                           factory: VecOptimizerFactory) -> None:
-    """Register a batched kernel as the twin of a scalar optimizer.
-
-    Stored in the central typed registry under the ``"vec_optimizer"``
-    kind.  The scalar registry must already know the name; the current
-    scalar factory is captured as registration metadata, pinning the
-    batched kernel to one exact scalar implementation.  If a user
-    later replaces the scalar entry (say ``"momentum_sgd"``) via
-    :func:`repro.xp.factories.register_optimizer`, the batched twin no
-    longer mirrors what the serial path would run and the engine falls
-    back to per-replicate scalar execution.
-    """
-    from repro.registry import registry
-
-    if not registry.has("optimizer", str(name)):
-        raise ValueError(
-            f"cannot register batched kernel {name!r}: no scalar "
-            "optimizer of that name (register_optimizer it first)")
-    scalar = registry.get("optimizer", str(name)).factory
-    registry.register("vec_optimizer", str(name), factory,
-                      skip_positional=2,
-                      extra={"scalar_factory": scalar})
-
-
-def vec_optimizer_names() -> list:
-    """Sorted names with a batched kernel (subset of the scalar
-    registry; everything else falls back to per-replicate scalar
-    runs)."""
-    from repro.registry import registry
-
-    return registry.names("vec_optimizer")
-
-
-def has_vec_optimizer(name: str) -> bool:
-    """Whether ``name`` has a batched kernel mirroring the *current*
-    scalar registry entry.
-
-    False when the name is unknown — or when the scalar registry entry
-    was replaced by a custom factory, since the batched kernel would
-    then silently compute something other than ``R`` serial runs of
-    the replacement.
-    """
-    from repro.registry import registry
-
-    if not registry.has("vec_optimizer", name):
-        return False
-    paired = registry.get("vec_optimizer", name).extra.get(
-        "scalar_factory")
-    return (registry.has("optimizer", name)
-            and registry.get("optimizer", name).factory is paired)
-
-
-def build_vec_optimizer(name: str, buffer: np.ndarray,
-                        offsets: Sequence[int], **kwargs) -> VecOptimizer:
-    """Instantiate the batched kernel registered under ``name``.
-
-    Parameters
-    ----------
-    name : str
-        Scalar optimizer registry key (``"momentum_sgd"``, ...).
-    buffer : numpy.ndarray
-        The ``(R, N)`` parameter matrix to update in place.
-    offsets : sequence of int
-        Per-tensor column boundaries.
-    **kwargs
-        The spec's ``optimizer_params`` (same names as the scalar
-        factory's).
-    """
-    from repro.registry import registry
-
-    if not registry.has("vec_optimizer", name):
-        raise ValueError(
-            f"no batched kernel for optimizer {name!r}; available: "
-            f"{vec_optimizer_names()}")
-    return registry.build("vec_optimizer", name, buffer, offsets,
-                          **kwargs)
-
-
-# registration happens via repro.xp.factories' scalar entries, so the
-# import below must come after the scalar registry is populated; the
-# central registry's provider table guarantees that ordering
-def _register_builtin_vec_optimizers() -> None:
-    """Register the built-in batched kernels against their scalar twins."""
-    import repro.xp.factories  # noqa: F401 — populates the scalar kinds
-
-    for name, factory in (("sgd", VecSGD),
-                          ("momentum_sgd", VecMomentumSGD),
-                          ("adam", VecAdam),
-                          ("yellowfin", VecYellowFin),
-                          ("closed_loop_yellowfin",
-                           VecClosedLoopYellowFin)):
-        register_vec_optimizer(name, factory)
-
-
-_register_builtin_vec_optimizers()

@@ -15,6 +15,8 @@ spec-fragment entry points:
 - :func:`build_optimizer` / :func:`register_optimizer` — thin aliases
   over the registry, kept for source compatibility (``"momentum_sgd"``,
   ``"closed_loop_yellowfin"``, ...).
+- :data:`VEC_KERNELS` — the batched kernel of each built-in optimizer
+  factory, for the fleet engine.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from repro.core import ClosedLoopYellowFin, YellowFin
 from repro.optim import SGD, AdaGrad, Adam, MomentumSGD, Optimizer, RMSProp
 from repro.registry import (ComponentSchema, ParamSpec, registry,
                             schema_from_callable)
+from repro.vec.optim import (VecAdam, VecClosedLoopYellowFin,
+                             VecMomentumSGD, VecSGD, VecYellowFin)
 
 # ----------------------------------------------------------------- #
 # delay models
@@ -197,6 +201,14 @@ registry.register("optimizer", "sgd", _sgd,
                   schema=_wrapper_schema(SGD))
 registry.register("optimizer", "momentum_sgd", _momentum_sgd,
                   schema=_wrapper_schema(MomentumSGD))
+
+#: The batched kernel (:mod:`repro.vec.optim`) of each built-in scalar
+#: factory it mirrors row for row, keyed by that factory object: a name
+#: re-registered with another factory finds no kernel, so its replicated
+#: specs run as ``R`` serial runs of the replacement.
+VEC_KERNELS = {_sgd: VecSGD, _momentum_sgd: VecMomentumSGD, Adam: VecAdam,
+               YellowFin: VecYellowFin,
+               ClosedLoopYellowFin: VecClosedLoopYellowFin}
 
 
 def register_optimizer(name: str, factory: OptimizerFactory) -> None:

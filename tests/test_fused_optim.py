@@ -174,6 +174,20 @@ TUNER_CORRUPTIONS = [
         "pending", lambda pending: (pending[0][:-5], pending[1])),
      r"extra\['pending'\]\[0\] has shape \(158,\), expected \(163,\)"),
 ]
+def tuner_factory(closed_loop):
+    def factory(p):
+        if closed_loop:
+            return ClosedLoopYellowFin(p, staleness=1, window=20, beta=0.9)
+        return YellowFin(p, window=20, beta=0.9)
+    return factory
+
+
+# (closed loop?, key): every key a tuner's load reads
+MISSING_TUNER_KEYS = [
+    (closed_loop, key)
+    for closed_loop in (False, True)
+    for key in ("momentum", "measurements", "clipper_steps")
+    + (("algorithmic_mu", "iterates", "pending") if closed_loop else ())]
 # (closed loop?, name, corruption, message); YellowFin has no
 # iterates or pending gradient
 TUNER_CASES = [(closed_loop, name, corrupt, key)
@@ -256,6 +270,51 @@ class TestCheckpointValidation:
             opt.load_state_dict(state)
         after = (opt.t, opt.lr, opt.momentum, tree_bytes(opt.state_dict()))
         assert after == before
+
+
+    @pytest.mark.parametrize("closed_loop,key", MISSING_TUNER_KEYS,
+                             ids=[f"{'closed_loop' if c else 'yellowfin'}"
+                                  f"-{key}" for c, key in MISSING_TUNER_KEYS])
+    def test_missing_tuner_key_rejected_and_nothing_loaded(self,
+                                                           closed_loop, key):
+        """A tuner tree without one of the keys the load reads raises
+        ``ValueError`` naming it, not a bare ``KeyError`` after ``t``
+        and ``lr`` were assigned."""
+        factory = tuner_factory(closed_loop)
+        _, _, source = run_trajectory(factory, steps=6)
+        state = source.state_dict()
+        del state["extra"][key]
+
+        _, _, opt = run_trajectory(factory, steps=3)
+        before = tuner_bytes(opt)
+        with pytest.raises(ValueError, match=rf"extra\['{key}'\] is missing"):
+            opt.load_state_dict(state)
+        assert tuner_bytes(opt) == before
+
+    @pytest.mark.parametrize("source,closed_loop,key", [
+        (lambda p: MomentumSGD(p, lr=0.1, momentum=0.9), False,
+         "measurements"),
+        (tuner_factory(False), True, "algorithmic_mu"),
+    ], ids=["momentum-into-yellowfin", "yellowfin-into-closed_loop"])
+    def test_foreign_tree_rejected_and_nothing_loaded(self, source,
+                                                      closed_loop, key):
+        """Another optimizer's tree passes the slot check (both hold
+        ``velocity``) and is refused by the tuner's key check."""
+        _, _, other = run_trajectory(source, steps=6)
+        state = other.state_dict()
+
+        _, _, opt = run_trajectory(tuner_factory(closed_loop), steps=3)
+        before = tuner_bytes(opt)
+        with pytest.raises(ValueError, match=rf"extra\['{key}'\] is missing"):
+            opt.load_state_dict(state)
+        assert tuner_bytes(opt) == before
+
+
+def tuner_bytes(opt):
+    """``t``, ``lr``, the velocity slot and the oracle state of a
+    YellowFin, as bytes."""
+    return (state_bytes(opt, ["velocity"]),
+            tree_bytes(opt.measurements.get_state()))
 
 
 def tree_bytes(tree):

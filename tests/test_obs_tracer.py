@@ -4,8 +4,8 @@ The tracer's span/instant records, the Chrome ``trace_event``
 conversion and its structural validator, the idempotent
 :class:`StepTimer`, the profiler's accumulation and ``repro top``
 table, and the explicit-scope session semantics (innermost wins,
-nothing active outside a ``with`` block) — plus the ``obs`` registry
-kind every component is built through.
+nothing active outside a ``with`` block), and :func:`observe`'s
+session carrying all three components.
 """
 
 import json
@@ -16,7 +16,6 @@ from repro.obs import (MetricsRegistry, ObsSession, Profiler, StepTimer,
                        Tracer, active, enabled, observe,
                        validate_chrome_trace)
 from repro.obs.tracer import CHROME_PHASES
-from repro.registry import registry
 
 
 class TestTracer:
@@ -133,9 +132,9 @@ class TestSessionScoping:
     def test_observe_sugar_scopes_a_full_session(self):
         with observe() as session:
             assert active() is session
-            assert session.tracer is not None
-            assert session.metrics is not None
-            assert session.profiler is not None
+            assert isinstance(session.tracer, Tracer)
+            assert isinstance(session.metrics, MetricsRegistry)
+            assert isinstance(session.profiler, Profiler)
         assert active() is None
 
     def test_report_only_holds_present_components(self):
@@ -143,16 +142,6 @@ class TestSessionScoping:
         report = session.report()
         assert "profiler" in report
         assert "tracer" not in report and "metrics" not in report
-
-    def test_obs_registry_kind_builds_every_component(self):
-        names = registry.names("obs")
-        assert {"tracer", "metrics", "profiler"} <= set(names)
-        assert isinstance(registry.build("obs", "tracer"), Tracer)
-        assert isinstance(registry.build("obs", "metrics"),
-                          MetricsRegistry)
-        assert isinstance(registry.build("obs", "profiler"), Profiler)
-        session = ObsSession.from_registry()
-        assert isinstance(session.tracer, Tracer)
 
 
 class TestStepTimer:

@@ -1,4 +1,4 @@
-"""Property-based round-trip tests for the state codec and BatchedFlatParams.
+"""Property-based tests for the state codec and the replicate store.
 
 Seeded random generation (no external property-testing dependency)
 drives many-shaped inputs through the invariants:
@@ -6,9 +6,11 @@ drives many-shaped inputs through the invariants:
 - ``encode_state``/``decode_state`` round-trip arbitrary nested state
   trees — random shapes, dtypes, non-finite floats, tuples, None — bit
   for bit, through a strict (``allow_nan=False``) JSON wire.
-- ``BatchedFlatParams.snapshot``/``restore`` round-trip replicate
-  parameter matrices exactly, preserve tensor aliasing, and handle
-  zero-size parameters.
+- ``ModelReplicateAdapter`` packs R models' parameters, values
+  unchanged, so each model's tensors are views of its row of the
+  ``(R, N)`` buffer; it handles zero-size parameters, missing
+  gradients and rebound ``p.data``, and refuses seeds whose models
+  differ in shape.
 - ``ShardedParameterServer.state_dict`` survives the codec for random
   shard counts and queue contents.
 """
@@ -18,8 +20,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.autograd.flat import BatchedFlatParams
-from repro.autograd.tensor import Tensor
+from repro.fleet.workloads import ModelReplicateAdapter
+from repro.nn.module import Module, Parameter
+from repro.registry import registry
 from repro.utils.serialization import decode_state, encode_state
 
 TRIALS = 25
@@ -131,94 +134,144 @@ def random_param_shapes(rng, allow_zero=True):
     return shapes
 
 
-def make_param_lists(rng, shapes, replicates):
-    return [[Tensor(rng.normal(size=shape), requires_grad=True)
-             for shape in shapes] for _ in range(replicates)]
+class ShapedModel(Module):
+    """One parameter per shape, drawn from the seed's generator."""
+
+    def __init__(self, shapes, seed):
+        super().__init__()
+        rng = np.random.default_rng(seed)
+        for i, shape in enumerate(shapes):
+            setattr(self, f"p{i}", Parameter(rng.normal(size=tuple(shape))))
 
 
-class TestBatchedFlatParamsProperties:
+def shaped_workload(shapes=((2,),), unused=(), shapes_of=None):
+    """Workload factory over :class:`ShapedModel`: the loss sums the
+    squares of every parameter but those indexed in ``unused``, and the
+    seeds in ``shapes_of`` get the shapes it maps them to."""
+    def build(seed):
+        model = ShapedModel((shapes_of or {}).get(seed, shapes), seed)
+
+        def loss_fn():
+            terms = [(p * p).sum() for i, p in enumerate(model.parameters())
+                     if i not in unused]
+            total = terms[0]
+            for term in terms[1:]:
+                total = total + term
+            return total
+
+        return model, loss_fn
+    return build
+
+
+@pytest.fixture
+def shaped():
+    """:func:`shaped_workload`, registered for one test; its name."""
+    registry.register("workload", "_shaped", shaped_workload)
+    yield "_shaped"
+    registry.unregister("workload", "_shaped")
+
+
+class TestModelReplicateAdapterProperties:
     @pytest.mark.parametrize("trial", range(TRIALS))
-    def test_snapshot_restore_round_trip(self, trial):
+    def test_packing_keeps_values_and_rows_alias_models(self, shaped,
+                                                         trial):
         rng = np.random.default_rng(3000 + trial)
         shapes = random_param_shapes(rng)
-        replicates = int(rng.integers(1, 5))
-        param_lists = make_param_lists(rng, shapes, replicates)
-        originals = [[p.data.copy() for p in ps] for ps in param_lists]
-        flat = BatchedFlatParams(param_lists)
-        # packing preserves values and installs row views
-        for ps, vals in zip(param_lists, originals):
-            for p, v in zip(ps, vals):
-                assert np.array_equal(p.data, v)
-        before = flat.snapshot()
-        flat.buffer += rng.normal(size=flat.buffer.shape)
-        flat.restore(before)
-        assert np.array_equal(flat.buffer, before)
-        for ps, vals in zip(param_lists, originals):
-            for p, v in zip(ps, vals):
-                # restore writes through the shared buffer: aliased
-                # tensors see the restored values without rebinding
-                assert np.array_equal(p.data, v)
+        seeds = [int(s) for s in rng.integers(0, 2 ** 31,
+                                              size=int(rng.integers(1, 5)))]
+        adapter = ModelReplicateAdapter(shaped, seeds, shapes=shapes)
+        assert adapter.buffer.shape == (len(seeds), adapter.offsets[-1])
+        for seed, model, row in zip(seeds, adapter.models, adapter.buffer):
+            fresh = ShapedModel(shapes, seed).parameters()
+            for i, (p, q) in enumerate(zip(model.parameters(), fresh)):
+                assert p.data.shape == q.data.shape
+                assert np.array_equal(p.data, q.data)
+                block = row[adapter.offsets[i]:adapter.offsets[i + 1]]
+                assert np.array_equal(block, q.data.reshape(-1))
+                assert block.size == 0 or np.shares_memory(p.data, block)
+        # a write to one row reaches that model's tensors and no other's
+        before = [[p.data.copy() for p in m.parameters()]
+                  for m in adapter.models]
+        adapter.buffer[-1] += 1.0
+        for r, (model, values) in enumerate(zip(adapter.models, before)):
+            shift = 1.0 if r == len(seeds) - 1 else 0.0
+            for p, v in zip(model.parameters(), values):
+                assert np.array_equal(p.data, v + shift)
 
     @pytest.mark.parametrize("trial", range(10))
-    def test_row_snapshot_restore_is_per_replicate(self, trial):
+    def test_read_rows_are_per_replicate(self, shaped, trial):
         rng = np.random.default_rng(4000 + trial)
         shapes = random_param_shapes(rng)
-        flat = BatchedFlatParams(make_param_lists(rng, shapes, 3))
-        saved = flat.snapshot_row(1)
-        others = [flat.snapshot_row(0), flat.snapshot_row(2)]
-        flat.buffer[1] += 1.0
-        flat.restore_row(1, saved)
-        assert np.array_equal(flat.row(1), saved)
-        assert np.array_equal(flat.row(0), others[0])
-        assert np.array_equal(flat.row(2), others[1])
+        seeds = [int(s) for s in rng.integers(0, 2 ** 31, size=3)]
+        adapter = ModelReplicateAdapter(shaped, seeds, shapes=shapes)
+        adapter.buffer[1] += rng.normal(size=adapter.buffer.shape[1])
+        params = adapter.buffer.copy()
+        out = np.full_like(adapter.buffer, np.nan)
+        losses = adapter.read(out)
+        # each row reads as its model alone: one scalar workload built
+        # with that row's values, its loss and gradients taken by itself
+        for r, seed in enumerate(seeds):
+            model, loss_fn = shaped_workload(shapes=shapes)(seed)
+            for i, p in enumerate(model.parameters()):
+                p.data = params[r, adapter.offsets[i]:adapter.offsets[i + 1]
+                                ].reshape(p.data.shape).copy()
+            loss = loss_fn()
+            loss.backward()
+            assert losses[r] == float(loss.data)
+            grads = [p.grad.reshape(-1) for p in model.parameters()]
+            assert out[r].tobytes() == np.concatenate(grads).tobytes()
+        assert np.array_equal(adapter.buffer, params)
 
-    def test_zero_size_parameters_pack_and_round_trip(self):
-        rng = np.random.default_rng(5)
+    def test_zero_size_parameters_pack(self, shaped):
         shapes = [(2,), (0,), (3, 0), (2, 2)]
-        param_lists = make_param_lists(rng, shapes, 2)
-        flat = BatchedFlatParams(param_lists)
-        assert flat.size == 2 + 0 + 0 + 4
-        snap = flat.snapshot()
-        flat.buffer[:] = 0.0
-        flat.restore(snap)
-        assert np.array_equal(flat.snapshot(), snap)
-        assert param_lists[0][1].data.shape == (0,)
-        assert param_lists[1][2].data.shape == (3, 0)
+        adapter = ModelReplicateAdapter(shaped, [1, 2], shapes=shapes)
+        assert adapter.buffer.shape == (2, 2 + 0 + 0 + 4)
+        assert adapter.offsets == [0, 2, 2, 2, 6]
+        params = adapter.models[1].parameters()
+        assert params[1].data.shape == (0,)
+        assert params[2].data.shape == (3, 0)
+        out = np.full_like(adapter.buffer, np.nan)
+        adapter.read(out)
+        for model, row in zip(adapter.models, out):
+            first, _, _, last = model.parameters()
+            assert np.array_equal(row, np.concatenate(
+                [2.0 * first.data, 2.0 * last.data.reshape(-1)]))
 
-    def test_gather_grads_zero_fills_missing(self):
-        rng = np.random.default_rng(6)
-        param_lists = make_param_lists(rng, [(2,), (2, 2)], 2)
-        flat = BatchedFlatParams(param_lists)
-        g = rng.normal(size=(2, 2))
-        param_lists[0][1].grad = g
-        out = flat.gather_grads()
-        assert np.array_equal(out[0, 2:], g.reshape(-1))
-        assert np.array_equal(out[0, :2], np.zeros(2))
-        assert np.array_equal(out[1], np.zeros(6))
+    def test_read_zero_fills_missing_gradients(self, shaped):
+        adapter = ModelReplicateAdapter(shaped, [1, 2],
+                                        shapes=[(2,), (2, 2)], unused=[0])
+        out = np.full_like(adapter.buffer, np.nan)
+        losses = adapter.read(out)
+        assert len(losses) == 2
+        for model, row in zip(adapter.models, out):
+            unused, used = model.parameters()
+            assert unused.grad is None
+            assert np.array_equal(row[:2], np.zeros(2))
+            assert np.array_equal(row[2:], 2.0 * used.data.reshape(-1))
 
-    def test_repack_after_rebind_keeps_values(self):
-        rng = np.random.default_rng(7)
-        param_lists = make_param_lists(rng, [(3,)], 2)
-        flat = BatchedFlatParams(param_lists)
-        fresh = rng.normal(size=3)
-        param_lists[1][0].data = fresh.copy()  # rebinding breaks aliasing
-        assert not flat.packed
-        flat.ensure_packed()
-        assert np.array_equal(flat.row(1), fresh)
-        assert param_lists[1][0].data.base is flat.buffer
+    def test_repack_after_rebind_keeps_values(self, shaped):
+        adapter = ModelReplicateAdapter(shaped, [1, 2], shapes=[(3,)])
+        row0 = adapter.buffer[0].copy()
+        fresh = np.arange(3.0)
+        (param,) = adapter.models[1].parameters()
+        param.data = fresh.copy()  # rebinding breaks aliasing
+        assert not adapter.flat.packed
+        adapter.ensure_packed()
+        assert np.array_equal(adapter.buffer[1], fresh)
+        assert np.array_equal(adapter.buffer[0], row0)
+        assert np.shares_memory(param.data, adapter.buffer[1])
 
-    def test_shape_mismatch_rejected(self):
-        rng = np.random.default_rng(8)
-        a = [Tensor(rng.normal(size=(2,)), requires_grad=True)]
-        b = [Tensor(rng.normal(size=(3,)), requires_grad=True)]
-        with pytest.raises(ValueError, match="shapes differ"):
-            BatchedFlatParams([a, b])
+    def test_shape_mismatch_rejected(self, shaped):
+        with pytest.raises(ValueError,
+                           match="replicate 2 parameter shapes differ"):
+            ModelReplicateAdapter(shaped, [5, 6, 7], shapes=[(2,)],
+                                  shapes_of={7: [(3,)]})
 
-    def test_empty_inputs_rejected(self):
+    def test_empty_inputs_rejected(self, shaped):
         with pytest.raises(ValueError):
-            BatchedFlatParams([])
+            ModelReplicateAdapter(shaped, [], shapes=[(2,)])
         with pytest.raises(ValueError):
-            BatchedFlatParams([[]])
+            ModelReplicateAdapter(shaped, [1], shapes=[])
 
 
 class TestShardedServerStateProperty:

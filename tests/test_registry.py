@@ -140,12 +140,6 @@ class TestRegistryStore:
         reg.unregister("thing", "w")
         assert not reg.has("thing", "w")
 
-    def test_extra_metadata_stored(self):
-        reg = Registry()
-        comp = reg.register("thing", "w", widget_factory,
-                            extra={"twin": strict_factory})
-        assert comp.extra["twin"] is strict_factory
-
 
 class TestGlobalRegistry:
     """The process-global instance every subsystem registers into."""
@@ -159,10 +153,6 @@ class TestGlobalRegistry:
                   "heterogeneous", "trace"},
         "fault": {"crash", "straggler", "pause", "injector"},
         "sharding": {"hash", "round_robin", "balanced"},
-        "aggregator": {"replicate_stats"},
-        "vec_optimizer": {"sgd", "momentum_sgd", "adam", "yellowfin",
-                          "closed_loop_yellowfin"},
-        "fleet_workload": {"quadratic_bowl"},
         "backend": {"serial", "parallel", "fleet", "mp"},
     }
 
@@ -171,6 +161,13 @@ class TestGlobalRegistry:
         # lazy provider loading: lookups work without pre-importing
         # the provider modules explicitly
         assert self.BUILTIN_KINDS[kind] <= set(registry.names(kind))
+
+    def test_kinds_are_the_families_picked_by_name(self):
+        # batched twins, the replicate aggregator and the obs
+        # components are no registry entries: nothing picks them by name
+        assert registry.kinds() == [
+            "backend", "delay", "fault", "optimizer", "serve", "sharding",
+            "topology", "workload"]
 
     def test_legacy_registration_helpers_share_the_store(self):
         from repro.xp.factories import register_optimizer

@@ -250,8 +250,8 @@ class TestFallbackEquivalence:
 
     def test_replaced_scalar_workload_disables_batched_evaluator(self,
                                                                  monkeypatch):
+        from repro.fleet import FleetEngine
         from repro.registry import registry
-        from repro.fleet.workloads import has_fleet_workload
         from repro.xp import workloads as xp_workloads
 
         replacement = xp_workloads.toy_classifier
@@ -263,11 +263,44 @@ class TestFallbackEquivalence:
                           lambda **params: replacement(
                               samples=32, features=4, hidden=4,
                               batch_size=8))
-        assert not has_fleet_workload("quadratic_bowl")
         spec = make_spec(replicates=2, workload_params={})
+        assert not FleetEngine(spec).deferred
         # still batched (the engine's per-replicate adapter runs the
         # replacement), and still bit-identical to serial runs of it
         check_batched_equals_serial(spec)
+
+    @pytest.mark.parametrize("kind,name", [("optimizer", "momentum_sgd"),
+                                           ("workload", "quadratic_bowl")])
+    def test_twin_follows_the_registered_factory(self, monkeypatch, kind,
+                                                 name):
+        # the batched twin is keyed by the scalar factory object: the
+        # built-in factory re-registered under its own name keeps it,
+        # a wrapper around that factory is another factory and loses it
+        from repro.fleet import FleetEngine
+        from repro.registry import registry
+        from repro.xp import register_optimizer, register_workload
+
+        register = (register_optimizer if kind == "optimizer"
+                    else register_workload)
+        original = registry.get(kind, name)
+        monkeypatch.setitem(registry._components[kind], name,
+                            original)  # restore original on teardown
+        spec = make_spec(replicates=2)
+
+        register(name, original.factory)
+        assert supports_fleet(spec)
+        assert FleetEngine(spec).deferred
+        assert execute_spec(spec).env["fleet_engine"] == "fleet"
+
+        register(name, lambda *args, **kwargs: original.factory(*args,
+                                                                **kwargs))
+        if kind == "optimizer":
+            assert not supports_fleet(spec)
+            check_batched_equals_serial(spec, expect_strategy="serial")
+        else:
+            # batched on the eager adapter over the wrapper
+            assert not FleetEngine(spec).deferred
+            check_batched_equals_serial(spec)
 
     def test_diverging_replicate_falls_back_serially(self):
         # lr far above 2/hmax: every replicate blows past the 1e6
