@@ -73,11 +73,12 @@ obs-smoke:  ## repro.obs gate: tracing on/off bit-identity on every backend + Ch
 	    tests/test_obs_tracer.py tests/test_obs_metrics.py \
 	    tests/test_sim_metrics.py -q
 
-serve-smoke:  ## tuning service gate: daemon up, 2 tenants, batched + cached + quota-rejected, clean shutdown, <60s
+serve-smoke:  ## tuning service gate: daemon up, 2 tenants, batched + cached (record in the submit response) + quota-rejected, prompt clean shutdown, and the state codec every served record takes vs its recursive reference, <60s
 	PYTHONPATH=src timeout 60 python -m pytest \
 	    tests/test_serve_daemon.py tests/test_serve_scheduler.py -q
 	PYTHONPATH=src timeout 60 python -m pytest \
-	    tests/test_serve_differential.py tests/test_serve_concurrency.py -q
+	    tests/test_serve_differential.py tests/test_serve_concurrency.py \
+	    tests/test_property_serialization.py -q
 
 vec-smoke:  ## batched replicate engine + the update rules and tuner it shares with the scalar optimizers: differential + property suites, the tuner's NumPy-row reference, perfbench's bindings, the registry and API-surface suites (twin lookup, vec/fleet exports), 8-replicate speedup gate, <60s
 	$(PYTEST) tests/test_vec_equivalence.py \

@@ -196,15 +196,18 @@ def _median_kth(size: int) -> list:
 
 def _median(values: np.ndarray, kth: list) -> float:
     """``np.median`` of a 1-d float array by its own steps, partitioning
-    ``values`` in place: the partition at ``kth``, ``np.mean``'s
-    ``add.reduce``-then-divide over the middle slice, and a NaN in the
-    last slot as the result."""
+    ``values`` in place: the partition at ``kth``, then a NaN in the
+    last slot as the result, else the mean of the middle value(s) in
+    Python floats as ``np.mean``'s ``add.reduce``-then-divide forms it.
+    The reduce adds from +0.0, so a -0.0 middle (or two) gives +0.0."""
     values.partition(kth)
-    if math.isnan(values[-1]):
-        return float(values[-1])
+    last = values.item(-1)
+    if math.isnan(last):
+        return last
     half = values.size // 2
-    low = half if values.size % 2 else half - 1
-    return float(np.add.reduce(values[low:half + 1])) / (half + 1 - low)
+    if values.size % 2:
+        return 0.0 + values.item(half)
+    return ((0.0 + values.item(half - 1)) + values.item(half)) / 2
 
 
 class MomentumFeedback:

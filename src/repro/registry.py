@@ -302,8 +302,13 @@ class Registry:
         return component
 
     def unregister(self, kind: str, name: str) -> None:
-        """Remove a registration (missing entries are a no-op)."""
-        self._components.get(kind, {}).pop(name, None)
+        """Remove a registration (missing entries are a no-op); a kind
+        whose last component goes leaves :meth:`kinds` unless a
+        provider module declares it."""
+        components = self._components.get(kind, {})
+        components.pop(name, None)
+        if not components:
+            self._components.pop(kind, None)
 
     # ------------------------------------------------------------- #
     # lookup

@@ -22,7 +22,12 @@ connection with a close-delimited response — no keep-alive or chunked
 framing, so the protocol is trivially debuggable with ``curl``.
 Result payloads cross the wire through the tagged
 :func:`repro.utils.serialization.encode_state` codec, the same one the
-result cache uses, so float and array values survive bit-for-bit.
+result cache uses, so float and array values survive bit-for-bit.  A
+ticket the result cache answered is finished at admission, so the
+``/v1/submit`` response carries its record under ``records`` and
+:meth:`Client.result` returns it without a request: a cache hit costs
+one round trip.  Without ``records`` (an older daemon) ``result``
+long-polls ``/v1/result`` as for any other ticket.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import http.client
 import json
 import time
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.utils.serialization import decode_state
 from repro.xp.runner import ScenarioResult
@@ -82,6 +87,9 @@ class Client:
         self.host, self.port = str(address[0]), int(address[1])
         self.tenant = str(tenant)
         self.timeout = float(timeout)
+        # ticket id -> coded record the submit response carried, until
+        # result() takes it
+        self._records: Dict[str, dict] = {}
 
     # ------------------------------------------------------------- #
     # transport
@@ -154,7 +162,8 @@ class Client:
             One ticket per spec — a single :class:`Ticket` when a
             single spec was submitted, a list otherwise.  Admission is
             all-or-nothing: either every spec is ticketed or the whole
-            submission raises.
+            submission raises.  A cache-hit ticket's record came with
+            the response and is held until :meth:`result` takes it.
 
         Raises
         ------
@@ -171,6 +180,7 @@ class Client:
             "specs": [spec.as_dict() for spec in specs],
         })
         tickets = [Ticket(**t) for t in data["tickets"]]
+        self._records.update(data.get("records", {}))
         if isinstance(scenarios, ScenarioSpec):
             return tickets[0]
         return tickets
@@ -222,6 +232,11 @@ class Client:
         — the differential suite enforces this across the cached,
         uncached, and cross-tenant-batched serving paths.
 
+        A cache-hit ticket's record arrived with :meth:`submit`'s
+        response; the first ``result`` call for it returns that record
+        without a request (a later call asks ``/v1/result``, which
+        returns the same record).
+
         Parameters
         ----------
         ticket : Ticket or str
@@ -241,20 +256,21 @@ class Client:
             Unknown ticket, daemon unreachable, or timeout.
         """
         ticket_id = ticket.id if isinstance(ticket, Ticket) else str(ticket)
+        record = self._records.pop(ticket_id, None)
         deadline = time.monotonic() + max(0.0, timeout)
-        while True:
+        while record is None:
             wait = min(30.0, max(0.0, deadline - time.monotonic()))
             data = self._request(
                 "GET", f"/v1/result?ticket={ticket_id}&timeout={wait}",
                 extra_timeout=wait)
+            if data.get("error"):
+                raise JobFailed(data["error"])
             if data.get("done"):
-                break
-            if time.monotonic() >= deadline:
+                record = data["record"]
+            elif time.monotonic() >= deadline:
                 raise ServeError(
                     f"timed out after {timeout}s waiting on {ticket_id}")
-        if data.get("error"):
-            raise JobFailed(data["error"])
-        return ScenarioResult.from_dict(decode_state(data["record"]))
+        return ScenarioResult.from_dict(decode_state(record))
 
     # ------------------------------------------------------------- #
     # service management

@@ -24,8 +24,10 @@ the pieces this package and its ancestors already provide:
 Protocol (all JSON over HTTP/1.0, responses close-delimited):
 
 ====== =============== ==============================================
-POST   ``/v1/submit``   ``{tenant, specs: [...]}`` → ``{tickets}``
-                        (429 + reason on admission rejection)
+POST   ``/v1/submit``   ``{tenant, specs: [...]}`` → ``{tickets}``,
+                        plus ``records`` (ticket id → record) for
+                        the cache hits (429 + reason on admission
+                        rejection)
 GET    ``/v1/result``   ``?ticket=&timeout=`` → long-poll for the
                         record (``encode_state``-coded)
 GET    ``/v1/events``   ``?ticket=&cursor=&timeout=`` → long-poll
@@ -38,6 +40,8 @@ POST   ``/v1/shutdown`` clean stop; unfinished jobs fail
 from __future__ import annotations
 
 import json
+import selectors
+import socket
 import threading
 import time
 from dataclasses import dataclass, field
@@ -140,7 +144,7 @@ class ServeDaemon:
         self._paused = False
         self._stopped = threading.Event()
         self._threads: List[threading.Thread] = []
-        self._http: Optional[ThreadingHTTPServer] = None
+        self._http: Optional[_Server] = None
 
     # ------------------------------------------------------------- #
     # lifecycle
@@ -159,13 +163,10 @@ class ServeDaemon:
             return self
         self._stopped.clear()
         self.pool.start()
-        self._http = ThreadingHTTPServer(
-            (self.config.host, self.config.port), _Handler)
-        self._http.daemon_threads = True
-        self._http.serve_daemon = self     # type: ignore[attr-defined]
+        self._http = _Server((self.config.host, self.config.port), self)
         for name, target in (("serve-schedule", self._schedule_loop),
                              ("serve-collect", self._collect_loop),
-                             ("serve-http", self._http.serve_forever)):
+                             ("serve-http", self._http.serve_until_woken)):
             thread = threading.Thread(target=target, name=name,
                                       daemon=True)
             thread.start()
@@ -182,12 +183,13 @@ class ServeDaemon:
             return
         self._stopped.set()
         if self._http is not None:
-            self._http.shutdown()
-            self._http.server_close()
+            self._http.wake()
         for thread in self._threads:
             if thread is not threading.current_thread():
                 thread.join(timeout=5.0)
         self._threads = []
+        if self._http is not None:
+            self._http.server_close()
         self.pool.stop()
         self.state.abort_all("daemon shut down before completion")
 
@@ -434,6 +436,24 @@ class ServeDaemon:
     # ------------------------------------------------------------- #
     # client-facing reads
     # ------------------------------------------------------------- #
+    def submit_payload(self, tickets: Sequence[Ticket]) -> dict:
+        """The ``/v1/submit`` payload for the tickets :meth:`submit` made.
+
+        Every ticket answered from the result cache is finished already,
+        so its record rides along under ``records`` (ticket id -> the
+        record as :meth:`result_payload` codes it) and the client needs
+        no ``/v1/result`` round trip; the key is absent when no ticket
+        was a cache hit.
+        """
+        payload: dict = {"tickets": [ticket_dict(t) for t in tickets]}
+        with self.state.lock:
+            finished = {t.id: self.state.jobs[t.job_id].result
+                        for t in tickets if t.cached}
+        if finished:
+            payload["records"] = {ticket_id: encode_state(result)
+                                  for ticket_id, result in finished.items()}
+        return payload
+
     def result_payload(self, ticket_id: str, timeout: float) -> dict:
         """Long-poll payload for ``/v1/result``.
 
@@ -495,6 +515,40 @@ def ticket_dict(ticket: Ticket) -> dict:
             "deduplicated": ticket.deduplicated}
 
 
+class _Server(ThreadingHTTPServer):
+    """The daemon's HTTP server, whose accept loop sleeps until a
+    connection arrives or :meth:`wake` is called: ``serve_forever``
+    would notice a shutdown only at its next 0.5 s poll."""
+
+    daemon_threads = True
+
+    def __init__(self, address: Tuple[str, int], daemon: ServeDaemon):
+        super().__init__(address, _Handler)
+        self.serve_daemon = daemon
+        self._wake_read, self._wake_write = socket.socketpair()
+
+    def serve_until_woken(self) -> None:
+        """Accept and hand off connections until :meth:`wake`."""
+        with selectors.DefaultSelector() as selector:
+            selector.register(self, selectors.EVENT_READ)
+            selector.register(self._wake_read, selectors.EVENT_READ)
+            while True:
+                ready = selector.select()
+                if any(key.fileobj is self._wake_read for key, _ in ready):
+                    return
+                self._handle_request_noblock()
+
+    def wake(self) -> None:
+        """Make :meth:`serve_until_woken` return (from any thread)."""
+        self._wake_write.send(b"\0")
+
+    def server_close(self) -> None:
+        """Close the listening socket and the wake-up pair."""
+        super().server_close()
+        self._wake_read.close()
+        self._wake_write.close()
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Thin JSON codec over :class:`ServeDaemon`'s method surface."""
 
@@ -551,7 +605,7 @@ class _Handler(BaseHTTPRequestHandler):
         except (ValueError, TypeError, KeyError) as exc:
             self._reply(400, {"error": f"invalid submission: {exc}"})
             return
-        self._reply(200, {"tickets": [ticket_dict(t) for t in tickets]})
+        self._reply(200, self.daemon.submit_payload(tickets))
 
     def do_GET(self) -> None:
         """``/v1/result``, ``/v1/events``, and ``/v1/status``."""

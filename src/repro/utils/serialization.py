@@ -8,6 +8,7 @@ plotting or regression comparison.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Union
 
@@ -87,6 +88,27 @@ def _finite_safe(values):
     return values
 
 
+# leaves both codec directions return as they are (exact types: a NumPy
+# scalar subclassing float or int is converted, so it is not one)
+_PLAIN_LEAVES = frozenset((float, int, str, bool, type(None)))
+
+
+def _plain(items) -> bool:
+    """Whether every item is a plain leaf and every float finite, so the
+    codec's output is a copy of ``items`` (one check for the container
+    instead of one recursive call per item)."""
+    kinds = set(map(type, items))
+    if not kinds <= _PLAIN_LEAVES:
+        return False
+    if float not in kinds:
+        return True
+    floats = items if len(kinds) == 1 else [v for v in items
+                                            if type(v) is float]
+    # a sum of floats is finite only if every term is; one that
+    # overflows sends its items down the per-item path, which is exact
+    return math.isfinite(sum(floats))
+
+
 def encode_state(obj):
     """Recursively encode a checkpoint state tree for JSON.
 
@@ -138,9 +160,10 @@ def encode_state(obj):
                     f"dict key {key!r} collides with a codec tag")
         return {k: encode_state(v) for k, v in obj.items()}
     if isinstance(obj, tuple):
-        return {_TUPLE_TAG: [encode_state(v) for v in obj]}
+        return {_TUPLE_TAG: list(obj) if _plain(obj)
+                else [encode_state(v) for v in obj]}
     if isinstance(obj, list):
-        return [encode_state(v) for v in obj]
+        return list(obj) if _plain(obj) else [encode_state(v) for v in obj]
     return obj
 
 
@@ -164,12 +187,14 @@ def decode_state(obj):
             arr = np.array(obj[_NDARRAY_TAG], dtype=obj["dtype"])
             return arr.reshape([int(s) for s in obj["shape"]])
         if _TUPLE_TAG in obj:
-            return tuple(decode_state(v) for v in obj[_TUPLE_TAG])
+            items = obj[_TUPLE_TAG]
+            return tuple(items) if _plain(items) else tuple(
+                decode_state(v) for v in items)
         if _FLOAT_TAG in obj:
             return float(obj[_FLOAT_TAG])
         return {k: decode_state(v) for k, v in obj.items()}
     if isinstance(obj, list):
-        return [decode_state(v) for v in obj]
+        return list(obj) if _plain(obj) else [decode_state(v) for v in obj]
     return obj
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -197,11 +197,14 @@ class ScenarioSpec:
         cleanly.  An empty ``fleet`` config is canonicalized away for
         the same reason.
         """
-        data = self.as_dict()
-        if data.get("replicates") == 1:
+        # the fields themselves, not asdict's deep copy: encode_state
+        # copies every container it returns
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["record_series"] = list(self.record_series)
+        if self.replicates == 1:
             del data["replicates"]
-        if not data.get("fleet"):
-            data.pop("fleet", None)
+        if not self.fleet:
+            del data["fleet"]
         payload = {"xp_format": XP_FORMAT_VERSION,
                    "spec": encode_state(data)}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"),

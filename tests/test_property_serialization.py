@@ -5,7 +5,13 @@ drives many-shaped inputs through the invariants:
 
 - ``encode_state``/``decode_state`` round-trip arbitrary nested state
   trees — random shapes, dtypes, non-finite floats, tuples, None — bit
-  for bit, through a strict (``allow_nan=False``) JSON wire.
+  for bit, through a strict (``allow_nan=False``) JSON wire, and give
+  the same output, type for type and JSON byte for byte, as the
+  per-item recursive codec kept here as the reference (the codec copies
+  a list of plain leaves whole).
+- ``ScenarioSpec.canonical_json`` gives the bytes of the ``asdict``
+  construction it replaced, for the example scenario files, the
+  ``serve_mixed`` benchmark's specs and random specs.
 - ``ModelReplicateAdapter`` packs R models' parameters, values
   unchanged, so each model's tensors are views of its row of the
   ``(R, N)`` buffer; it handles zero-size parameters, missing
@@ -15,7 +21,12 @@ drives many-shaped inputs through the invariants:
   shard counts and queue contents.
 """
 
+import dataclasses
+import importlib.util
 import json
+import struct
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +35,9 @@ from repro.fleet.workloads import ModelReplicateAdapter
 from repro.nn.module import Module, Parameter
 from repro.registry import registry
 from repro.utils.serialization import decode_state, encode_state
+from repro.xp.spec import XP_FORMAT_VERSION, ScenarioSpec, load_scenarios
 
+ROOT = Path(__file__).resolve().parents[1]
 TRIALS = 25
 
 
@@ -121,6 +134,315 @@ class TestCodecRoundTrip:
             arr = np.empty(shape, dtype=np.float32)
             out = decode_state(json.loads(json.dumps(encode_state(arr))))
             assert out.shape == shape and out.dtype == np.float32
+
+
+# ------------------------------------------------------------------ #
+# the per-item recursive codec, as the reference
+# ------------------------------------------------------------------ #
+def reference_nonfinite(value):
+    if value != value:
+        return "nan"
+    return "inf" if value > 0 else "-inf"
+
+
+def reference_finite_safe(values):
+    if isinstance(values, list):
+        return [reference_finite_safe(v) for v in values]
+    if isinstance(values, float) and not np.isfinite(values):
+        return reference_nonfinite(values)
+    return values
+
+
+def reference_encode(obj):
+    """``encode_state`` with one recursive call per item."""
+    if isinstance(obj, np.ndarray):
+        values = obj.tolist()
+        if obj.dtype.kind == "f" and not np.isfinite(obj).all():
+            values = reference_finite_safe(values)
+        return {"__ndarray__": values, "dtype": str(obj.dtype),
+                "shape": list(obj.shape)}
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        obj = obj.item()
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return {"__float__": reference_nonfinite(obj)}
+    if isinstance(obj, dict):
+        if set(obj) == {"__ndarray__", "dtype", "shape"} or \
+                set(obj) == {"__tuple__"} or (
+                set(obj) == {"__float__"}
+                and obj["__float__"] in ("nan", "inf", "-inf")):
+            return obj
+        return {k: reference_encode(v) for k, v in obj.items()}
+    if isinstance(obj, tuple):
+        return {"__tuple__": [reference_encode(v) for v in obj]}
+    if isinstance(obj, list):
+        return [reference_encode(v) for v in obj]
+    return obj
+
+
+def reference_decode(obj):
+    """``decode_state`` with one recursive call per item."""
+    if isinstance(obj, dict):
+        if "__ndarray__" in obj:
+            arr = np.array(obj["__ndarray__"], dtype=obj["dtype"])
+            return arr.reshape([int(s) for s in obj["shape"]])
+        if "__tuple__" in obj:
+            return tuple(reference_decode(v) for v in obj["__tuple__"])
+        if "__float__" in obj:
+            return float(obj["__float__"])
+        return {k: reference_decode(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [reference_decode(v) for v in obj]
+    return obj
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                  1.7976931348623157e308, -1e308, np.nan, np.inf, -np.inf]
+
+
+def codec_leaf(rng):
+    """A leaf of any type the codec takes, plain or not."""
+    kind = rng.choice(["plain", "special", "bigint", "numpy", "array"])
+    if kind == "plain":
+        return plain_leaf(rng)
+    special = float(SPECIAL_FLOATS[int(rng.integers(len(SPECIAL_FLOATS)))])
+    if kind == "special":
+        return special
+    if kind == "bigint":
+        return int(rng.integers(1, 10)) * 10 ** 400
+    if kind == "numpy":
+        return rng.choice([np.float64(special), np.float32(rng.normal()),
+                           np.int64(rng.integers(-9, 9)), np.int32(3),
+                           np.bool_(rng.integers(0, 2))])
+    return random_array(rng)
+
+
+def plain_leaf(rng):
+    """A leaf the codec copies as it is: finite floats, -0.0 and
+    subnormals, ints, strs, bools and None."""
+    kind = rng.choice(["float", "zero", "subnormal", "int", "str", "bool",
+                       "none"])
+    if kind == "float":
+        return float(rng.normal() * 10.0 ** int(rng.integers(-300, 300)))
+    if kind == "zero":
+        return float(rng.choice([0.0, -0.0]))
+    if kind == "subnormal":
+        return float(rng.choice([5e-324, -5e-324, 1e-310]))
+    if kind == "int":
+        return int(rng.integers(-2 ** 62, 2 ** 62))
+    if kind == "str":
+        return "".join(rng.choice(list("ab é☃"))
+                       for _ in range(int(rng.integers(0, 5))))
+    if kind == "bool":
+        return bool(rng.integers(0, 2))
+    return None
+
+
+def codec_tree(rng, depth=0):
+    """Nested dicts, lists and tuples; most lists hold plain leaves only
+    (some all floats, some overflowing a float sum), the rest one leaf
+    or container of any kind among them."""
+    if depth >= 3 or rng.random() < 0.3:
+        return codec_leaf(rng)
+    kind = rng.choice(["dict", "list", "plain", "floats", "tuple"])
+    n = int(rng.integers(0, 6))
+    if kind == "dict":
+        return {f"k{i}": codec_tree(rng, depth + 1) for i in range(n)}
+    if kind == "floats":
+        items = [float(rng.normal() * 10.0 ** int(rng.integers(-5, 5)))
+                 for _ in range(n)]
+        if rng.random() < 0.3:
+            items += [1.5e308, 1.5e308]     # finite, but their sum is not
+        return items
+    items = [plain_leaf(rng) for _ in range(n)]
+    if kind != "plain" and rng.random() < 0.7:
+        items.insert(int(rng.integers(0, n + 1)),
+                     codec_tree(rng, depth + 1))
+    return tuple(items) if kind == "tuple" else items
+
+
+def assert_same(a, b, path="$"):
+    """Equal type for type; floats and arrays equal by their bytes."""
+    __tracebackhide__ = True
+    assert type(a) is type(b), (path, type(a), type(b))
+    if isinstance(a, dict):
+        assert list(a) == list(b), path
+        for k in a:
+            assert_same(a[k], b[k], f"{path}.{k}")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same(x, y, f"{path}[{i}]")
+    elif isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), path
+        assert a.tobytes() == b.tobytes(), path
+    elif isinstance(a, float):
+        assert struct.pack("<d", a) == struct.pack("<d", b), (path, a, b)
+    else:
+        assert a == b, path
+
+
+def containers(tree, found=None):
+    """The ids of every list and dict in a tree."""
+    found = set() if found is None else found
+    if isinstance(tree, (list, dict)):
+        found.add(id(tree))
+    if isinstance(tree, dict):
+        tree = list(tree.values())
+    if isinstance(tree, (list, tuple)):
+        for item in tree:
+            containers(item, found)
+    return found
+
+
+class TestCodecMatchesTheRecursiveReference:
+    @pytest.mark.parametrize("trial", range(40))
+    def test_encode_and_decode_match_by_type_and_bytes(self, trial):
+        rng = np.random.default_rng(7000 + trial)
+        tree = {"root": codec_tree(rng), "series": codec_tree(rng, 2)}
+        encoded = encode_state(tree)
+        expected = reference_encode(tree)
+        assert_same(encoded, expected)
+        wire = json.dumps(encoded, sort_keys=True, allow_nan=False)
+        assert wire == json.dumps(expected, sort_keys=True,
+                                  allow_nan=False)
+        # every container is a copy, as the per-item codec made them
+        assert not containers(encoded) & containers(tree)
+        assert_same(decode_state(json.loads(wire)),
+                    reference_decode(json.loads(wire)))
+        decoded = decode_state(encoded)
+        assert_same(decoded, reference_decode(encoded))
+        assert not containers(decoded) & containers(encoded)
+
+    @pytest.mark.parametrize("trial", range(10))
+    def test_decode_of_unencoded_trees_matches(self, trial):
+        # decode_state passes leaves it does not know through, NaN
+        # floats (a lenient JSON parser's) and NumPy scalars included
+        rng = np.random.default_rng(8000 + trial)
+        tree = {"root": codec_tree(rng), "nan": [1.0, float("nan")]}
+        assert_same(decode_state(tree), reference_decode(tree))
+
+    def test_plain_lists_copy_whole_and_others_do_not(self):
+        plain = [1.5, -0.0, 5e-324, 3, True, None, "x"]
+        assert encode_state(plain) == plain
+        assert encode_state(plain) is not plain
+        assert encode_state((1.0, 2)) == {"__tuple__": [1.0, 2]}
+        assert decode_state({"__tuple__": [1.0, 2]}) == (1.0, 2)
+        # a non-finite float, a NumPy scalar or a nested list in the
+        # list: the per-item path, which tags or converts it
+        assert encode_state([1.0, float("inf")]) == [
+            1.0, {"__float__": "inf"}]
+        assert type(encode_state([np.float64(2.0)])[0]) is float
+        assert encode_state([1e308, 1e308, [2.0]]) == [1e308, 1e308, [2.0]]
+
+
+# ------------------------------------------------------------------ #
+# ScenarioSpec.canonical_json against the asdict construction
+# ------------------------------------------------------------------ #
+def reference_canonical_json(spec):
+    """``canonical_json`` built from ``dataclasses.asdict`` and the
+    recursive codec."""
+    data = dataclasses.asdict(spec)
+    data["record_series"] = list(spec.record_series)
+    if data.get("replicates") == 1:
+        del data["replicates"]
+    if not data.get("fleet"):
+        data.pop("fleet", None)
+    payload = {"xp_format": XP_FORMAT_VERSION,
+               "spec": reference_encode(data)}
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
+
+
+def serve_mixed_specs():
+    """The ``serve_mixed`` benchmark's specs (``perfbench/serve_mixed.py``
+    imported without running anything)."""
+    sys.path.insert(0, str(ROOT / "perfbench"))  # for its common import
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_serve_mixed", ROOT / "perfbench" / "serve_mixed.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses look it up
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return [module.spec_for(run_seed, phase, tenant, k)
+            for run_seed in (1, 2) for phase in ("warmup", "timed")
+            for tenant in (0, 1) for k in range(4)]
+
+
+def random_params(rng, depth=0):
+    """Factory keyword arguments: scalars, lists, tuples, nested dicts."""
+    params = {}
+    for i in range(int(rng.integers(0, 4))):
+        kind = rng.choice(["float", "int", "str", "list", "tuple", "dict",
+                           "none", "bool"])
+        if kind == "float":
+            value = float(rng.choice([rng.normal(), -0.0, 5e-324, np.inf]))
+        elif kind == "int":
+            value = int(rng.integers(-100, 100))
+        elif kind == "str":
+            value = str(rng.choice(["a", "b", "é"]))
+        elif kind == "list":
+            value = [plain_leaf(rng) for _ in range(int(rng.integers(0, 4)))]
+        elif kind == "tuple":
+            value = tuple(plain_leaf(rng)
+                          for _ in range(int(rng.integers(0, 4))))
+        elif kind == "dict" and depth < 2:
+            value = random_params(rng, depth + 1)
+        elif kind == "bool":
+            value = bool(rng.integers(0, 2))
+        else:
+            value = None
+        params[f"p{i}"] = value
+    return params
+
+
+def random_spec(rng, trial):
+    fleet = {} if trial % 2 else {
+        "classes": {"fast": {"count": 2, "delay": {"kind": "constant",
+                                                   "delay": 1.0}}},
+        "groups": (("fast", 0.5),)}
+    return ScenarioSpec(
+        name=f"random/{trial}",
+        workload=str(rng.choice(["quadratic_bowl", "toy_classifier"])),
+        workload_params=random_params(rng),
+        optimizer=str(rng.choice(["momentum_sgd", "yellowfin"])),
+        optimizer_params=random_params(rng),
+        delay={"kind": "uniform", "low": 0.5, "high": 1.5,
+               **random_params(rng)},
+        faults=random_params(rng),
+        workers=int(rng.integers(1, 9)),
+        reads=int(rng.integers(0, 500)),
+        updates=None if rng.random() < 0.5 else int(rng.integers(0, 50)),
+        seed=None if rng.random() < 0.3 else int(rng.integers(0, 2 ** 31)),
+        record_series=tuple(rng.choice(["loss", "staleness", "lr"],
+                                       size=int(rng.integers(0, 3)))),
+        replicates=(1, 3)[trial % 4 // 2],
+        fleet=fleet)
+
+
+class TestCanonicalJsonMatchesTheAsdictReference:
+    @pytest.mark.parametrize("path", sorted(ROOT.glob("examples/*.json")),
+                             ids=lambda p: p.name)
+    def test_example_scenario_files(self, path):
+        specs = load_scenarios(path)
+        assert specs
+        for spec in specs:
+            assert spec.canonical_json() == reference_canonical_json(spec)
+
+    def test_serve_mixed_specs(self):
+        for spec in serve_mixed_specs():
+            assert spec.canonical_json() == reference_canonical_json(spec)
+
+    @pytest.mark.parametrize("trial", range(24))
+    def test_random_specs(self, trial):
+        spec = random_spec(np.random.default_rng(9000 + trial), trial)
+        assert spec.canonical_json() == reference_canonical_json(spec)
+        for override in ({"replicates": 1}, {"replicates": 3},
+                         {"fleet": {}}):
+            other = spec.with_overrides(override)
+            assert other.canonical_json() == \
+                reference_canonical_json(other)
 
 
 def random_param_shapes(rng, allow_zero=True):

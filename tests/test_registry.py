@@ -140,6 +140,14 @@ class TestRegistryStore:
         reg.unregister("thing", "w")
         assert not reg.has("thing", "w")
 
+    def test_a_kind_leaves_kinds_with_its_last_component(self):
+        reg = Registry()
+        reg.register("thing", "w", widget_factory)
+        assert "thing" in reg.kinds()
+        reg.unregister("thing", "w")
+        assert "thing" not in reg.kinds()
+        assert reg.names("thing") == []
+
 
 class TestGlobalRegistry:
     """The process-global instance every subsystem registers into."""
@@ -168,6 +176,16 @@ class TestGlobalRegistry:
         assert registry.kinds() == [
             "backend", "delay", "fault", "optimizer", "serve", "sharding",
             "topology", "workload"]
+
+    def test_a_new_kind_round_trip_leaves_kinds_as_it_was(self):
+        before = registry.kinds()
+        registry.register("_registry_test_kind", "w", widget_factory)
+        try:
+            assert registry.kinds() == sorted(before
+                                              + ["_registry_test_kind"])
+        finally:
+            registry.unregister("_registry_test_kind", "w")
+        assert registry.kinds() == before
 
     def test_legacy_registration_helpers_share_the_store(self):
         from repro.xp.factories import register_optimizer

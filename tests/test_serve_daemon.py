@@ -8,6 +8,7 @@ over real localhost sockets — plus protocol edge cases (unknown
 tickets, malformed bodies) and the ``python -m repro serve`` CLI.
 """
 
+import socket
 import subprocess
 import sys
 import time
@@ -129,6 +130,29 @@ class TestSmoke:
                    for e in iterations)
         steps = [e["step"] for e in iterations]
         assert steps == sorted(steps)
+
+
+class TestStop:
+    @pytest.mark.parametrize("mode", ["thread", "fork"])
+    def test_stop_wakes_the_accept_loop_and_closes_the_port(self, mode):
+        # the accept loop sleeps until a connection or stop(); a polled
+        # loop would take up to its 0.5 s poll to notice
+        daemon = ServeDaemon(ServeConfig(
+            cache_dir=None, min_workers=1, max_workers=1,
+            pool_mode=mode)).start()
+        try:
+            address = daemon.address
+            threads = list(daemon._threads)
+            assert Client(address).status()["pool"]["mode"] == mode
+            start = time.perf_counter()
+            daemon.stop()
+            elapsed = time.perf_counter() - start
+        finally:
+            daemon.stop()
+        assert elapsed < 0.25, elapsed
+        assert not any(thread.is_alive() for thread in threads)
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(address, timeout=5).close()
 
 
 class TestProtocolEdges:

@@ -7,7 +7,9 @@ record whose deterministic identity (name, spec hash, metrics, series)
 equals a local :func:`repro.run.run` of the same spec; anything else
 means the service layer perturbed the science.  This suite also proves
 the computed-exactly-once property: duplicate traffic never increments
-``serve.jobs_computed``.
+``serve.jobs_computed``; and that a cache hit's record, which rides the
+``/v1/submit`` response, is the one ``/v1/result`` returns, handed over
+without a second request.
 """
 
 import pytest
@@ -15,7 +17,7 @@ import pytest
 from repro.run import execute_scalar, run
 from repro.serve import Client, ServeConfig, ServeDaemon
 from repro.serve.batching import execute_group, family_key
-from repro.xp.spec import ScenarioSpec
+from repro.xp.spec import Matrix, ScenarioSpec
 
 
 def make_spec(seed=0, name="diff", **overrides):
@@ -208,3 +210,110 @@ class TestComputedExactlyOnce:
         assert daemon.pool.units_dispatched == before
         assert daemon.metrics.snapshot()["counters"][
             "serve.jobs_computed"] == 1
+
+
+class CountingClient(Client):
+    """A client that logs every request's path and response payload."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def _request(self, method, path, payload=None, extra_timeout=0.0):
+        data = super()._request(method, path, payload, extra_timeout)
+        self.calls.append((path.split("?")[0], data))
+        return data
+
+    def paths(self):
+        return [path for path, _ in self.calls]
+
+
+class OldProtocolClient(CountingClient):
+    """A client of the protocol before submit carried ``records``."""
+
+    def _request(self, method, path, payload=None, extra_timeout=0.0):
+        data = super()._request(method, path, payload, extra_timeout)
+        data.pop("records", None)
+        return data
+
+
+class TestCacheHitInOneRoundTrip:
+    """A ticket the result cache answers is finished at admission: its
+    record rides the submit response and ``result`` sends nothing."""
+
+    def test_cached_result_sends_no_request(self, daemon):
+        spec = make_spec(seed=12, name="diff/one-trip")
+        client = CountingClient(daemon.address, tenant="t")
+        first = client.result(client.submit(spec), timeout=120)
+        assert client.paths()[-1] == "/v1/result"
+        del client.calls[:]
+        ticket = client.submit(spec)
+        assert ticket.cached
+        record = client.result(ticket, timeout=30)
+        assert client.paths() == ["/v1/submit"]
+        # the record /v1/result returns for the same ticket, and a
+        # local run's identity
+        polled = CountingClient(daemon.address, tenant="t").result(
+            ticket.id, timeout=30)
+        assert record.cached and polled.cached and not first.cached
+        assert record.as_dict() == polled.as_dict()
+        assert record.identity() == polled.identity() \
+            == local_identity(spec)
+        # taken once: a second result() asks the daemon, same record
+        again = client.result(ticket, timeout=30)
+        assert client.paths() == ["/v1/submit", "/v1/result"]
+        assert again.as_dict() == record.as_dict()
+
+    def test_old_protocol_client_gets_the_same_record(self, daemon):
+        spec = make_spec(seed=14, name="diff/old-client")
+        Client(daemon.address).result(Client(daemon.address).submit(spec),
+                                      timeout=120)
+        new = CountingClient(daemon.address, tenant="t")
+        old = OldProtocolClient(daemon.address, tenant="t")
+        via_submit = new.result(new.submit(spec), timeout=30)
+        ticket = old.submit(spec)
+        assert ticket.cached
+        via_poll = old.result(ticket, timeout=30)
+        assert old.paths() == ["/v1/submit", "/v1/result"]
+        assert new.paths() == ["/v1/submit"]
+        assert via_poll.as_dict() == via_submit.as_dict()
+        assert via_poll.identity() == local_identity(spec)
+
+    def test_stream_of_a_cached_ticket_replays_queued_then_done(
+            self, daemon):
+        spec = make_spec(seed=15, name="diff/stream-hit")
+        client = CountingClient(daemon.address, tenant="t")
+        client.result(client.submit(spec), timeout=120)
+        ticket = client.submit(spec)
+        events = list(client.stream(ticket))
+        assert [e["event"] for e in events] == ["queued", "done"]
+        assert events[-1]["cached"] is True
+        del client.calls[:]
+        assert client.result(ticket, timeout=30).identity() \
+            == local_identity(spec)
+        assert client.calls == []
+
+    def test_a_matrix_of_hits_and_misses_gets_records_for_hits_only(
+            self, daemon):
+        matrix = Matrix(make_spec(seed=16, name="diff/mix"), axes={
+            "lr": {"slow": {"optimizer_params.lr": 0.01},
+                   "mid": {"optimizer_params.lr": 0.02},
+                   "fast": {"optimizer_params.lr": 0.04}}})
+        specs = matrix.expand()
+        client = CountingClient(daemon.address, tenant="t")
+        client.result(client.submit(specs[1]), timeout=120)
+        del client.calls[:]
+        tickets = client.submit(matrix)
+        assert [t.cached for t in tickets] == [False, True, False]
+        (submitted,) = client.calls
+        assert set(submitted[1]["records"]) == {tickets[1].id}
+        records = [client.result(t, timeout=120) for t in tickets]
+        # only the two misses long-poll
+        assert client.paths() == ["/v1/submit", "/v1/result",
+                                  "/v1/result"]
+        for record, spec in zip(records, specs):
+            assert record.identity() == local_identity(spec)
+        # a submission without hits carries no records key
+        fresh = make_spec(seed=17, name="diff/mix-fresh")
+        payload = daemon.submit_payload(daemon.submit("t", [fresh]))
+        assert "records" not in payload
