@@ -96,10 +96,10 @@ fleet-smoke:  ## worker-axis engine: differential suite + the cluster runtime sh
 	REPRO_BENCH_SCALE=0.25 $(PYTEST) \
 	    benchmarks/test_fleet_scale.py -q -s
 
-autograd-smoke:  ## eager tape and fused LSTM cell: bit-identity against the reference walk and the 17-node reference cell + autograd, RNN and model suites, <60s
+autograd-smoke:  ## eager tape, fused LSTM cell, BatchNorm node and relu: bit-identity against the reference walk, the 17-node reference cell and the composed BatchNorm and np.where relu + autograd, nn layer, RNN and model suites, <60s
 	$(PYTEST) tests/test_autograd_*.py tests/test_property_autograd.py \
-	    tests/test_nn_rnn.py tests/test_models.py -q \
-	    -W error::DeprecationWarning
+	    tests/test_nn_layers.py tests/test_nn_rnn.py tests/test_models.py \
+	    -q -W error::DeprecationWarning
 
 perfbench-smoke:  ## repository benchmark: every workload at a tiny length, canary digests vs perfbench/reference.json
 	python3 perfbench/smoke.py

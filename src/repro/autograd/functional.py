@@ -185,17 +185,25 @@ def _col2im(dcols: np.ndarray, padded_shape: Tuple[int, int, int, int],
     Adds the KH*KW window slices into zeros in ``(ki, kj)`` order, the
     order in which ``np.add.at`` over the gather's indices reaches each
     cell, so every sum matches it bit for bit, signed zeros included.
+    The windows are copied once into ``(KH, KW, OH, OW, N, C)`` order
+    and added into an ``(Hp, Wp, N, C)`` buffer, so each add runs over
+    contiguous ``N*C`` rows rather than rows of ``OW`` floats; the
+    result is copied back C-contiguous, the layout of the zeros the
+    reference scatters into.  A 1x1 stride-1 kernel covers each cell
+    exactly once, so its sum is ``0.0 + dcols``.
     """
-    n, c = padded_shape[:2]
-    windows = dcols.reshape(n, c, kh, kw, oh, ow)
-    dx_padded = np.zeros(padded_shape, dtype=np.float64)
+    n, c, hp, wp = padded_shape
+    if kh == kw == stride == 1:
+        return np.add(dcols.reshape(padded_shape), 0.0, order="C")
+    windows = dcols.reshape(n, c, kh, kw, oh, ow).transpose(
+        2, 3, 4, 5, 0, 1).copy()
+    dx = np.zeros((hp, wp, n, c))
     h_span = stride * (oh - 1) + 1
     w_span = stride * (ow - 1) + 1
     for ki in range(kh):
         for kj in range(kw):
-            dx_padded[:, :, ki:ki + h_span:stride,
-                      kj:kj + w_span:stride] += windows[:, :, ki, kj]
-    return dx_padded
+            dx[ki:ki + h_span:stride, kj:kj + w_span:stride] += windows[ki, kj]
+    return dx.transpose(2, 3, 0, 1).copy()  # C order
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, unbroadcast
 from repro.nn.module import Module, Parameter
 
 
@@ -28,41 +28,65 @@ class BatchNorm2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4:
             raise ValueError(f"expected NCHW input, got shape {x.shape}")
+        xd = x.data
+        n, c, h, w = xd.shape
         if self.training:
-            mean = x.data.mean(axis=(0, 2, 3))
-            var = x.data.var(axis=(0, 2, 3))
+            # np.mean and np.var's own passes, with the mean and the
+            # centred array computed once: the centred array serves both
+            # the variance and x_hat
+            m = n * h * w
+            mean = xd.mean(axis=(0, 2, 3), keepdims=True)
+            centred = xd - mean
+            var = np.square(centred).sum(axis=(0, 2, 3)) / m
             self.update_buffer(
-                "running_mean",
-                (1 - self.momentum) * self.running_mean + self.momentum * mean)
+                "running_mean", (1 - self.momentum) * self.running_mean
+                + self.momentum * mean.reshape(c))
             self.update_buffer(
                 "running_var",
                 (1 - self.momentum) * self.running_var + self.momentum * var)
-            x_hat = _normalize_train(x, mean, var, self.eps)
+            inv_std = (1.0 / np.sqrt(var + self.eps)).reshape(1, c, 1, 1)
+            x_hat = centred  # scaled in place: the variance is taken
+            x_hat *= inv_std
+
+            def x_grad(g: np.ndarray) -> np.ndarray:
+                # standard batchnorm backward through mean and variance
+                sum_g = g.sum(axis=(0, 2, 3), keepdims=True)
+                sum_gx = (g * x_hat).sum(axis=(0, 2, 3), keepdims=True)
+                return inv_std / m * (m * g - sum_g - x_hat * sum_gx)
         else:
-            scale = 1.0 / np.sqrt(self.running_var + self.eps)
-            x_hat = (x - Tensor(self.running_mean.reshape(1, -1, 1, 1))) \
-                * Tensor(scale.reshape(1, -1, 1, 1))
-        w = self.weight.reshape(1, -1, 1, 1)
-        b = self.bias.reshape(1, -1, 1, 1)
-        return x_hat * w + b
+            scale = (1.0 / np.sqrt(self.running_var + self.eps)).reshape(
+                1, c, 1, 1)
+            # x + (-mean), as ``x - mean`` ran on the tape: a NaN mean
+            # keeps the flipped sign bit it had there
+            x_hat = (xd + -self.running_mean.reshape(1, c, 1, 1)) * scale
+
+            def x_grad(g: np.ndarray) -> np.ndarray:
+                return g * scale
+        return _scale_shift(x, x_hat, x_grad, self.weight, self.bias)
 
 
-def _normalize_train(x: Tensor, mean: np.ndarray, var: np.ndarray,
-                     eps: float) -> Tensor:
-    """Training-mode normalization with the full batch-statistics gradient."""
-    n, c, h, w = x.shape
-    m = n * h * w
-    mean_r = mean.reshape(1, c, 1, 1)
-    inv_std = (1.0 / np.sqrt(var + eps)).reshape(1, c, 1, 1)
-    x_hat_data = (x.data - mean_r) * inv_std
+def _scale_shift(x: Tensor, x_hat: np.ndarray, x_grad, weight: Tensor,
+                 bias: Tensor) -> Tensor:
+    """``x_hat * weight + bias`` per channel, one tape node over
+    ``[x, weight, bias]``.
 
-    def grad_fn(g: np.ndarray) -> np.ndarray:
-        # Standard batchnorm backward through mean and variance.
-        sum_g = g.sum(axis=(0, 2, 3), keepdims=True)
-        sum_gx = (g * x_hat_data).sum(axis=(0, 2, 3), keepdims=True)
-        return inv_std / m * (m * g - sum_g - x_hat_data * sum_gx)
-
-    return Tensor._make(x_hat_data, [(x, grad_fn)])
+    It has the bits of the five-node composition ``x_hat *
+    weight.reshape(1, C, 1, 1) + bias.reshape(1, C, 1, 1)`` over a
+    normalization node whose VJP is ``x_grad``
+    (``tests/test_autograd_batchnorm.py`` keeps it): each VJP runs the
+    composed ops' expression, and the edges are in the order the
+    composition's walk reaches ``x``, ``weight`` and ``bias``, so
+    contributions arrive in the same order.
+    """
+    shape = (1, x_hat.shape[1], 1, 1)
+    w = weight.data.reshape(shape)
+    out = x_hat * w
+    out += bias.data.reshape(shape)
+    return Tensor._make(out, [
+        (x, lambda g: x_grad(g * w)),
+        (weight, lambda g: unbroadcast(g * x_hat, shape).reshape(
+            weight.shape)),
+        (bias, lambda g: unbroadcast(g, shape).reshape(bias.shape))])
 
 
 class LayerNorm(Module):

@@ -37,7 +37,7 @@ import json
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.utils.serialization import decode_state
+from repro.utils.serialization import decode_state, encode_state
 from repro.xp.runner import ScenarioResult
 from repro.xp.spec import Matrix, ScenarioSpec
 
@@ -177,7 +177,7 @@ class Client:
             raise ValueError("nothing to submit")
         data = self._request("POST", "/v1/submit", {
             "tenant": self.tenant,
-            "specs": [spec.as_dict() for spec in specs],
+            "specs": [encode_state(spec.as_dict()) for spec in specs],
         })
         tickets = [Ticket(**t) for t in data["tickets"]]
         self._records.update(data.get("records", {}))

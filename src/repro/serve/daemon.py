@@ -24,7 +24,8 @@ the pieces this package and its ancestors already provide:
 Protocol (all JSON over HTTP/1.0, responses close-delimited):
 
 ====== =============== ==============================================
-POST   ``/v1/submit``   ``{tenant, specs: [...]}`` → ``{tickets}``,
+POST   ``/v1/submit``   ``{tenant, specs: [...]}`` (``encode_state``-
+                        coded specs) → ``{tickets}``,
                         plus ``records`` (ticket id → record) for
                         the cache hits (429 + reason on admission
                         rejection)
@@ -51,7 +52,7 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.obs.metrics import MetricsRegistry
 from repro.registry import registry
-from repro.utils.serialization import encode_state
+from repro.utils.serialization import decode_state, encode_state
 from repro.xp.cache import ResultCache
 from repro.xp.runner import ScenarioResult
 from repro.xp.spec import ScenarioSpec
@@ -86,7 +87,9 @@ class ServeConfig:
         Keyword configuration for the policy factories (validated
         against their registered schemas).
     tick : float
-        Scheduler loop period in seconds.
+        Scheduler round period in seconds (reap, dispatch, autoscale,
+        gauges); submissions and freed workers wake a dispatch pass in
+        between.
     stream_every : int
         Forward every k-th per-iteration payload to streams.
     validate : bool
@@ -143,6 +146,8 @@ class ServeDaemon:
         self._unit_seq = 0
         self._paused = False
         self._stopped = threading.Event()
+        # set when there may be work to dispatch before the next tick
+        self._wake = threading.Event()
         self._threads: List[threading.Thread] = []
         self._http: Optional[_Server] = None
 
@@ -182,6 +187,8 @@ class ServeDaemon:
         if self._stopped.is_set():
             return
         self._stopped.set()
+        self._wake.set()
+        self.pool.interrupt()
         if self._http is not None:
             self._http.wake()
         for thread in self._threads:
@@ -209,6 +216,7 @@ class ServeDaemon:
     def resume(self) -> None:
         """Resume dispatch after :meth:`pause`."""
         self._paused = False
+        self._wake.set()
 
     # ------------------------------------------------------------- #
     # submission (admission + cache + dedup, one locked transaction)
@@ -308,18 +316,33 @@ class ServeDaemon:
                 tickets.append(ticket)
             self.metrics.gauge("serve.queue_depth").set(
                 len(self.state.pending))
-            return tickets
+        if new_jobs:
+            self._wake.set()
+        return tickets
 
     # ------------------------------------------------------------- #
     # scheduler loop
     # ------------------------------------------------------------- #
     def _schedule_loop(self) -> None:
+        """Run :meth:`_tick` every ``tick`` seconds, and a dispatch pass
+        whenever a submission, a freed worker, :meth:`resume` or
+        :meth:`stop` wakes the loop in between.  Reaping, autoscaling
+        and the gauges keep the tick period, so the autoscaler's
+        ``idle_ticks`` still counts ticks of time."""
+        due = time.monotonic()
         while not self._stopped.is_set():
+            self._wake.clear()  # before the pass: a later set is kept
+            full = time.monotonic() >= due
             try:
-                self._tick()
+                if full:
+                    self._tick()
+                else:
+                    self._dispatch()
             except Exception:
                 self.metrics.counter("serve.tick_errors").inc()
-            self._stopped.wait(self.config.tick)
+            if full:
+                due = time.monotonic() + self.config.tick
+            self._wake.wait(max(0.0, due - time.monotonic()))
 
     def _tick(self) -> None:
         """One scheduling round: reap, dispatch, autoscale, gauge."""
@@ -334,32 +357,8 @@ class ServeDaemon:
                         self.state.finish(
                             job_id, error="worker died mid-unit")
 
+        self._dispatch()
         with self.state.lock:
-            if not self._paused:
-                plan = self.scheduler.plan(self.state.pending_jobs(),
-                                           self.pool.idle_slots(),
-                                           time.monotonic())
-                for unit_jobs in plan:
-                    self._unit_seq += 1
-                    unit_id = f"u-{self._unit_seq:06d}"
-                    worker = self.pool.dispatch(
-                        unit_id, [job.spec for job in unit_jobs])
-                    if worker is None:
-                        break
-                    job_ids = [job.id for job in unit_jobs]
-                    self._units[unit_id] = job_ids
-                    self.state.take_pending(job_ids)
-                    size = len(unit_jobs)
-                    for job in unit_jobs:
-                        self.state.append_event(job.id, {
-                            "event": "started", "unit": unit_id,
-                            "worker": worker, "batch_size": size})
-                    self.metrics.histogram(
-                        "serve.batch_occupancy").observe(size)
-                    self.metrics.counter("serve.units_dispatched").inc()
-                    if size > 1:
-                        self.metrics.counter(
-                            "serve.batched_jobs").inc(size)
             depth = len(self.state.pending)
             active_tenants = self.state.active_tenants()
 
@@ -375,6 +374,36 @@ class ServeDaemon:
         self.metrics.gauge("serve.busy_workers").set(
             self.pool.busy_count())
         self.metrics.gauge("serve.active_tenants").set(active_tenants)
+
+    def _dispatch(self) -> None:
+        """Hand the scheduler's plan for the pending jobs to idle
+        workers (nothing while paused)."""
+        with self.state.lock:
+            if self._paused:
+                return
+            plan = self.scheduler.plan(self.state.pending_jobs(),
+                                       self.pool.idle_slots(),
+                                       time.monotonic())
+            for unit_jobs in plan:
+                self._unit_seq += 1
+                unit_id = f"u-{self._unit_seq:06d}"
+                worker = self.pool.dispatch(
+                    unit_id, [job.spec for job in unit_jobs])
+                if worker is None:
+                    break
+                job_ids = [job.id for job in unit_jobs]
+                self._units[unit_id] = job_ids
+                self.state.take_pending(job_ids)
+                size = len(unit_jobs)
+                for job in unit_jobs:
+                    self.state.append_event(job.id, {
+                        "event": "started", "unit": unit_id,
+                        "worker": worker, "batch_size": size})
+                self.metrics.histogram(
+                    "serve.batch_occupancy").observe(size)
+                self.metrics.counter("serve.units_dispatched").inc()
+                if size > 1:
+                    self.metrics.counter("serve.batched_jobs").inc(size)
 
     # ------------------------------------------------------------- #
     # collector loop
@@ -398,6 +427,7 @@ class ServeDaemon:
                     self.state.append_event(job_id, message["event"])
             return
         self.pool.complete(message["worker"])
+        self._wake.set()
         with self.state.lock:
             job_ids = self._units.pop(unit, [])
         if not job_ids:
@@ -597,7 +627,10 @@ class _Handler(BaseHTTPRequestHandler):
                 raw = [payload["spec"]]
             if not isinstance(raw, list) or not raw:
                 raise ValueError("submit body needs a 'specs' list")
-            specs = [ScenarioSpec.from_dict(d) for d in raw]
+            # specs arrive encode_state-coded, so a tuple in params stays
+            # a tuple (and the spec keeps its hash); an untagged body from
+            # an older client decodes to itself
+            specs = [ScenarioSpec.from_dict(decode_state(d)) for d in raw]
             tickets = self.daemon.submit(tenant, specs)
         except AdmissionRejected as exc:
             self._reply(429, {"error": str(exc)})

@@ -314,6 +314,12 @@ class WorkerPool:
         except Exception:
             return None       # queue closed during shutdown
 
+    def interrupt(self) -> None:
+        """Return a caller blocked in :meth:`next_message` at once
+        (with ``None``); the daemon's :meth:`stop` uses it."""
+        if self._out is not None:
+            self._out.put(None)
+
     def __repr__(self) -> str:
         return (f"WorkerPool(mode={self.mode!r}, active={self.active}/"
                 f"{self.max_workers}, busy={len(self._busy)})")

@@ -49,6 +49,13 @@ def _reference_conv2d(x, w, b, stride, padding, g):
     return out, dx, dw, g.sum(axis=(0, 2, 3))
 
 
+def _nan_as_nan(a):
+    """``a`` with every NaN as ``np.nan``: which of two NaNs a sum keeps
+    is left open by IEEE 754, and ``np.add.at`` and ``+=`` run different
+    compiled loops."""
+    return np.where(np.isnan(a), np.nan, a)
+
+
 def _conv_case(rng, family):
     """Random conv operands ``(x, w, b, g, stride, padding)``, ~15% -0.0."""
     def draw(lo, hi):
@@ -211,7 +218,8 @@ class TestConvPool:
 
     def test_conv2d_bit_identical_to_gather_reference(self):
         # every geometry family the strided-window fast path must get
-        # exactly right, with -0.0 in the input and upstream gradient
+        # exactly right, with -0.0 in the input and upstream gradient,
+        # by bytes and by the strides of dx
         rng = np.random.default_rng(20260)
         families = ["random", "1x1", "stride3", "full", "unit_dims"]
         for trial in range(400):
@@ -231,19 +239,30 @@ class TestConvPool:
             for name, a, e in zip(("out", "dx", "dw", "db"), got, want):
                 assert a.shape == e.shape, (name, geometry)
                 assert a.tobytes() == e.tobytes(), (name, geometry)
+            # downstream reductions sum in memory order
+            assert xt.grad.strides == want[1].strides, geometry
 
-            # the scatter alone, fed signed zeros directly
+            # the scatter alone, fed signed zeros, infinities and NaNs
+            # directly, in C and in F order
             n, c, h, wd = x.shape
             _, _, kh, kw = w.shape
             oh, ow = g.shape[2:]
             padded = (n, c, h + 2 * padding, wd + 2 * padding)
             dcols = rng.normal(size=(n, c * kh * kw, oh * ow))
-            dcols[rng.random(dcols.shape) < 0.3] = -0.0
+            pick = rng.random(dcols.shape)
+            dcols[pick < 0.3] = -0.0
+            dcols[(pick >= 0.3) & (pick < 0.34)] = np.inf
+            dcols[(pick >= 0.34) & (pick < 0.38)] = -np.inf
+            dcols[(pick >= 0.38) & (pick < 0.4)] = np.nan
             k, i, j = _gather_indices(c, kh, kw, stride, oh, ow)
             expected = np.zeros(padded)
-            np.add.at(expected, (slice(None), k, i, j), dcols)
-            got_dx = F._col2im(dcols, padded, kh, kw, stride, oh, ow)
-            assert got_dx.tobytes() == expected.tobytes(), geometry
+            with np.errstate(invalid="ignore"):  # inf + -inf
+                np.add.at(expected, (slice(None), k, i, j), dcols)
+                for cols in (dcols, np.asfortranarray(dcols)):
+                    got_dx = F._col2im(cols, padded, kh, kw, stride, oh, ow)
+                    assert (_nan_as_nan(got_dx).tobytes()
+                            == _nan_as_nan(expected).tobytes()), geometry
+                    assert got_dx.strides == expected.strides, geometry
 
     def test_avg_pool_grad(self):
         check_gradients(lambda x: F.avg_pool2d(x, 2), [t((2, 3, 4, 4))])

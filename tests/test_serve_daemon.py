@@ -155,6 +155,70 @@ class TestStop:
             socket.create_connection(address, timeout=5).close()
 
 
+class TestWake:
+    @pytest.mark.parametrize("mode", ["thread", "fork"])
+    def test_dispatch_does_not_wait_for_the_tick(self, mode):
+        # submissions and finished units wake the scheduler, so with a
+        # 5 s tick a two-spec matrix is dispatched and answered long
+        # before the second tick, and stop() returns at once
+        daemon = ServeDaemon(ServeConfig(
+            cache_dir=None, min_workers=1, max_workers=2, tick=5.0,
+            pool_mode=mode)).start()
+        try:
+            client = Client(daemon.address, tenant="wake")
+            matrix = Matrix(make_spec(name="wake"), axes={
+                "seed": {"a": {"seed": 1}, "b": {"seed": 2}}})
+            start = time.perf_counter()
+            records = [client.result(t, timeout=60)
+                       for t in client.submit(matrix)]
+            elapsed = time.perf_counter() - start
+            stop_start = time.perf_counter()
+            daemon.stop()
+            stop_elapsed = time.perf_counter() - stop_start
+        finally:
+            daemon.stop()
+        assert [r.name for r in records] == \
+            [s.name for s in matrix.expand()]
+        assert elapsed < 2.5, elapsed
+        assert stop_elapsed < 1.0, stop_elapsed
+
+    def test_scalar_units_dispatch_as_workers_free_up(self):
+        # one worker and three unbatchable specs: each later unit starts
+        # when the previous one's result frees the worker, not at a tick
+        daemon = ServeDaemon(ServeConfig(
+            cache_dir=None, min_workers=1, max_workers=1, tick=5.0,
+            scheduler="fifo")).start()
+        try:
+            client = Client(daemon.address, tenant="wake")
+            specs = [make_spec(seed=s, name=f"wake/{s}") for s in (1, 2, 3)]
+            start = time.perf_counter()
+            records = [client.result(t, timeout=60)
+                       for t in client.submit(specs)]
+            elapsed = time.perf_counter() - start
+        finally:
+            daemon.stop()
+        assert all(r.env["serve_unit"] == "scalar" for r in records)
+        assert elapsed < 2.5, elapsed
+
+    def test_a_failing_round_keeps_the_tick_period(self):
+        # a round that raises is counted and retried a tick later, not
+        # at once in a spinning loop
+        daemon = ServeDaemon(ServeConfig(
+            cache_dir=None, min_workers=1, max_workers=1, tick=0.05))
+
+        def fail(**_):
+            raise RuntimeError("autoscaler down")
+
+        daemon.autoscaler.target = fail
+        daemon.start()
+        try:
+            time.sleep(0.5)
+        finally:
+            daemon.stop()
+        errors = daemon.metrics.snapshot()["counters"]["serve.tick_errors"]
+        assert 1 <= errors <= 15, errors
+
+
 class TestProtocolEdges:
     def test_unknown_ticket_is_a_serve_error(self, daemon):
         client = Client(daemon.address, tenant="x")

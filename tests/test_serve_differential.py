@@ -12,6 +12,9 @@ the computed-exactly-once property: duplicate traffic never increments
 without a second request.
 """
 
+import http.client
+import json
+
 import pytest
 
 from repro.run import execute_scalar, run
@@ -123,6 +126,46 @@ class TestServedEqualsLocal:
         assert via_batch.env["serve_unit"] == "batched:2"
         assert via_scalar.env["serve_unit"] == "scalar"
         assert via_batch.identity() == via_scalar.identity()
+
+
+class TestSpecCodec:
+    """Specs travel ``encode_state``-coded, so the daemon hashes the
+    spec the client built."""
+
+    TUPLE_SPEC = ScenarioSpec(
+        name="t", optimizer="closed_loop_yellowfin",
+        optimizer_params={"momentum_bounds": (0.0, 0.9)})
+
+    def test_tuple_params_keep_the_spec_hash(self, daemon):
+        spec = self.TUPLE_SPEC
+        client = Client(daemon.address, tenant="t")
+        ticket = client.submit(spec)
+        assert ticket.spec_hash == spec.content_hash()
+        record = client.result(ticket, timeout=120)
+        assert record.identity() == local_identity(spec)
+        again = client.submit(spec)
+        assert again.cached
+        assert client.result(again, timeout=30).identity() \
+            == record.identity()
+
+    def test_plain_json_body_is_still_accepted(self, daemon):
+        # the body an older client sends: as_dict() as plain JSON
+        spec = make_spec(seed=9, name="diff/plain")
+        conn = http.client.HTTPConnection(*daemon.address, timeout=30)
+        try:
+            conn.request("POST", "/v1/submit", body=json.dumps(
+                {"tenant": "old", "specs": [spec.as_dict()]}),
+                headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            body = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 200, body
+        (ticket,) = body["tickets"]
+        assert ticket["spec_hash"] == spec.content_hash()
+        record = Client(daemon.address, tenant="old").result(
+            ticket["id"], timeout=120)
+        assert record.identity() == local_identity(spec)
 
 
 class TestExecuteGroup:
